@@ -355,6 +355,7 @@ class DsmSortSim {
 
     stored_.assign(d_, {});
     records_sorted_per_host_.assign(h_, 0);
+    sort_records_counter_.assign(h_, nullptr);
     sort_staged_records_.assign(h_, 0);
     store_end_.assign(d_, 0.0);
 
@@ -781,9 +782,14 @@ class DsmSortSim {
                                            /*on_asu=*/false);
     co_await node.compute(scaled(charge));
     records_sorted_per_host_[hh] += block.size();
-    eng_.metrics()
-        .counter(pfx("functor.sort") + std::to_string(hh) + ".records")
-        .inc(block.size());
+    // Resolved on the first run, so a host that sorts nothing registers
+    // no counter.
+    obs::Counter*& records_done = sort_records_counter_[hh];
+    if (records_done == nullptr) {
+      records_done = &eng_.metrics().counter(pfx("functor.sort") +
+                                             std::to_string(hh) + ".records");
+    }
+    records_done->inc(block.size());
 
     std::size_t off = 0;
     std::uint32_t seq = 0;
@@ -1267,6 +1273,8 @@ class DsmSortSim {
   std::vector<std::size_t> count_in_;
   std::vector<std::vector<StoredRun>> stored_;  // per ASU
   std::vector<std::size_t> records_sorted_per_host_;
+  /// Per sort instance `functor.sort<h>.records`, resolved on first use.
+  std::vector<obs::Counter*> sort_records_counter_;
   /// Live working set per sort instance (records staged toward
   /// incomplete runs) — the quantity its MigrationDeclaration reports.
   /// Pure bookkeeping on existing control flow: no events, no charges,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace lmas::obs {
 
@@ -184,6 +185,11 @@ struct Parser {
         --depth;
         return obj;
       }
+      // A repeated key overwrites the value at its first position. The
+      // key -> position index keeps the parse linear in the member count
+      // (Json's own operator[] scans).
+      std::vector<std::pair<std::string, Json>> members;
+      std::unordered_map<std::string, std::size_t> index;
       while (true) {
         skip_ws();
         auto key = parse_string();
@@ -192,11 +198,17 @@ struct Parser {
         if (!eat(':')) return std::nullopt;
         auto v = parse_value();
         if (!v) return std::nullopt;
-        obj[*key] = std::move(*v);
+        const auto [it, fresh] = index.try_emplace(*key, members.size());
+        if (fresh) {
+          members.emplace_back(std::move(*key), std::move(*v));
+        } else {
+          members[it->second].second = std::move(*v);
+        }
         skip_ws();
         if (eat('}')) break;
         if (!eat(',')) return std::nullopt;
       }
+      for (auto& [k, v] : members) obj.append(std::move(k), std::move(v));
       --depth;
       return obj;
     }

@@ -87,6 +87,12 @@ class Json {
   }
 
   // ----- object interface -----
+  // Members live in one insertion-ordered vector with no key index, so
+  // operator[], contains, find and at(key) scan it: O(members) per call.
+  // That is cheap for the small hand-built objects they serve; building a
+  // large object key by key through operator[] is quadratic. Use append()
+  // when the keys are unique by construction.
+
   /// Insert-or-get a member; converts a null value to an object in place.
   Json& operator[](std::string_view key) {
     type_ = Type::Object;
@@ -94,6 +100,16 @@ class Json {
       if (k == key) return v;
     }
     obj_.emplace_back(std::string(key), Json());
+    return obj_.back().second;
+  }
+  /// Add a member at the end without looking the key up: amortized O(1).
+  /// Precondition: `key` is not already a member. Nothing checks it; a
+  /// repeated key yields an object with two members of that name, which
+  /// dumps as a JSON text with a duplicate key. Converts a null value to an
+  /// object in place, like operator[].
+  Json& append(std::string key, Json value) {
+    type_ = Type::Object;
+    obj_.emplace_back(std::move(key), std::move(value));
     return obj_.back().second;
   }
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
@@ -105,6 +121,7 @@ class Json {
     }
     return nullptr;
   }
+  /// Throws std::out_of_range if absent.
   [[nodiscard]] const Json& at(std::string_view key) const;
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
       const noexcept {
@@ -115,7 +132,9 @@ class Json {
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document; nullopt on any syntax error or
-  /// trailing garbage.
+  /// trailing garbage. Linear in the input size. A key repeated within
+  /// one object keeps the position of its first occurrence and the value
+  /// of its last.
   static std::optional<Json> parse(std::string_view text);
 
  private:

@@ -39,6 +39,15 @@ sorted_entries(
   return out;
 }
 
+Json fixed_histogram_json(const Histogram& h) {
+  Json j = Json::object();
+  j["count"] = Json(h.count());
+  j["sum"] = Json(h.sum());
+  j["bounds"] = Json::array_of(h.bounds());
+  j["buckets"] = Json::array_of(h.bucket_counts());
+  return j;
+}
+
 }  // namespace
 
 void MetricsRegistry::ensure_name_free(std::string_view name,
@@ -133,42 +142,41 @@ Json MetricsRegistry::snapshot() const {
   // Collectors publish owner-side state (and may create instruments), so
   // they must run before the maps are walked.
   for (const auto& [id, fn] : collectors_) fn();
+  // Every section walks name-sorted entries, and ensure_name_free keeps a
+  // name in one kind only, so each key is new to its section: append()
+  // needs no lookup and the snapshot costs O(n log n) in instruments.
   Json out = Json::object();
-  Json& counters = out["counters"] = Json::object();
+  Json& counters = out.append("counters", Json::object());
   for (const auto* e : sorted_entries(counters_)) {
-    counters[e->first] = Json(e->second->value());
+    counters.append(e->first, Json(e->second->value()));
   }
-  Json& gauges = out["gauges"] = Json::object();
+  Json& gauges = out.append("gauges", Json::object());
   for (const auto* e : sorted_entries(gauges_)) {
-    gauges[e->first] = Json(e->second->value());
+    gauges.append(e->first, Json(e->second->value()));
   }
-  // Both histogram kinds share one section, name-sorted across kinds
-  // (names are unique across kinds, so the merge cannot collide).
-  Json& hists = out["histograms"] = Json::object();
-  std::vector<std::pair<const std::string*, Json>> merged;
-  merged.reserve(histograms_.size() + latencies_.size());
-  for (const auto* e : sorted_entries(histograms_)) {
-    const Histogram& h = *e->second;
-    Json j = Json::object();
-    j["count"] = Json(h.count());
-    j["sum"] = Json(h.sum());
-    j["bounds"] = Json::array_of(h.bounds());
-    j["buckets"] = Json::array_of(h.bucket_counts());
-    merged.emplace_back(&e->first, std::move(j));
+  // Both histogram kinds share one section, name-sorted across kinds:
+  // merge the two sorted lists.
+  Json& hists = out.append("histograms", Json::object());
+  const auto fixed = sorted_entries(histograms_);
+  const auto logged = sorted_entries(latencies_);
+  auto f = fixed.begin();
+  auto l = logged.begin();
+  while (f != fixed.end() || l != logged.end()) {
+    if (l == logged.end() || (f != fixed.end() && (*f)->first < (*l)->first)) {
+      hists.append((*f)->first, fixed_histogram_json(*(*f)->second));
+      ++f;
+    } else {
+      hists.append((*l)->first, (*l)->second->to_json());
+      ++l;
+    }
   }
-  for (const auto* e : sorted_entries(latencies_)) {
-    merged.emplace_back(&e->first, e->second->to_json());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  for (auto& [name, j] : merged) hists[*name] = std::move(j);
   return out;
 }
 
 Json MetricsRegistry::latency_summaries() const {
   Json out = Json::object();
   for (const auto* e : sorted_entries(latencies_)) {
-    out[e->first] = e->second->summary_json();
+    out.append(e->first, e->second->summary_json());
   }
   return out;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -90,6 +91,85 @@ TEST(Metrics, SnapshotRoundTripsThroughParser) {
   EXPECT_EQ(parsed->at("counters").members()[0].first, "a.count");
 }
 
+namespace {
+
+/// The snapshot as built before the append path: every key inserted
+/// through the scanning operator[], histogram kinds collected into one
+/// name-sorted list. `names` lists every instrument the registry holds.
+obs::Json reference_snapshot(const obs::MetricsRegistry& reg,
+                             std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  obs::Json counters = obs::Json::object();
+  obs::Json gauges = obs::Json::object();
+  obs::Json hists = obs::Json::object();
+  for (const std::string& name : names) {
+    if (const obs::Counter* c = reg.find_counter(name)) {
+      counters[name] = obs::Json(c->value());
+    } else if (const obs::Gauge* g = reg.find_gauge(name)) {
+      gauges[name] = obs::Json(g->value());
+    } else if (const obs::Histogram* h = reg.find_histogram(name)) {
+      obs::Json j = obs::Json::object();
+      j["count"] = obs::Json(h->count());
+      j["sum"] = obs::Json(h->sum());
+      j["bounds"] = obs::Json::array_of(h->bounds());
+      j["buckets"] = obs::Json::array_of(h->bucket_counts());
+      hists[name] = std::move(j);
+    } else if (const obs::LatencyHistogram* l = reg.find_latency(name)) {
+      hists[name] = l->to_json();
+    }
+  }
+  obs::Json out = obs::Json::object();
+  out["counters"] = std::move(counters);
+  out["gauges"] = std::move(gauges);
+  out["histograms"] = std::move(hists);
+  return out;
+}
+
+}  // namespace
+
+TEST(Metrics, SnapshotMatchesLookupBuiltReference) {
+  obs::MetricsRegistry reg;
+  std::vector<std::string> names;
+  std::vector<std::string> latency_names;
+  // Registered in reverse so map order and sorted order disagree; fixed
+  // and latency histograms alternate when sorted.
+  for (int i = 40; i >= 0; --i) {
+    const std::string n = std::to_string(i);
+    reg.counter("c." + n).inc(std::uint64_t(i) * 3);
+    reg.gauge("g." + n).set(0.25 * i);
+    names.insert(names.end(), {"c." + n, "g." + n, "h." + n});
+    if (i % 2 == 0) {
+      reg.histogram("h." + n, {0.5, 5.0}).observe(0.1 * i);
+    } else {
+      reg.latency("h." + n).observe(1e-3 * i);
+      latency_names.push_back("h." + n);
+    }
+  }
+  // A collector creates instruments during the snapshot, including a
+  // latency histogram that sorts between existing fixed ones.
+  reg.add_collector([&reg] {
+    reg.gauge("g.collected").set(9.5);
+    if (reg.find_latency("h.10a") == nullptr) {
+      reg.latency("h.10a").observe(0.002);
+    }
+  });
+  names.insert(names.end(), {"g.collected", "h.10a"});
+  latency_names.push_back("h.10a");
+
+  // Snapshot first: the reference sees the collector's instruments only
+  // once a snapshot has run it.
+  const std::string snap = reg.snapshot().dump();
+  EXPECT_EQ(snap, reference_snapshot(reg, names).dump());
+  EXPECT_EQ(reg.snapshot().dump(2), reference_snapshot(reg, names).dump(2));
+
+  std::sort(latency_names.begin(), latency_names.end());
+  obs::Json summaries = obs::Json::object();
+  for (const std::string& name : latency_names) {
+    summaries[name] = reg.find_latency(name)->summary_json();
+  }
+  EXPECT_EQ(reg.latency_summaries().dump(), summaries.dump());
+}
+
 // ------------------------------------------------------------------ json
 
 TEST(Json, DumpAndParseRoundTrip) {
@@ -132,6 +212,39 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   j["a"] = 2;
   ASSERT_EQ(j.members().size(), 2u);
   EXPECT_EQ(j.members()[0].first, "z");
+}
+
+TEST(Json, AppendAddsMembersInOrder) {
+  obs::Json j;
+  j.append("z", 1);
+  j.append("a", 2)["nested"] = true;
+  ASSERT_TRUE(j.is_object());
+  EXPECT_EQ(j.dump(), R"({"z":1,"a":{"nested":true}})");
+}
+
+TEST(Json, DuplicateKeyKeepsFirstPositionAndLastValue) {
+  auto doc = obs::Json::parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->dump(), R"({"a":3,"b":2})");
+}
+
+TEST(Json, LargeObjectRoundTripsInOrder) {
+  constexpr int kKeys = 30000;
+  obs::Json doc = obs::Json::object();
+  // Keys out of sorted order, so a reordering parse would show.
+  for (int i = 0; i < kKeys; ++i) {
+    doc.append("m." + std::to_string((i * 7919) % kKeys), i);
+  }
+  for (int indent : {-1, 2}) {
+    auto back = obs::Json::parse(doc.dump(indent));
+    ASSERT_TRUE(back.has_value()) << "indent " << indent;
+    ASSERT_EQ(back->size(), doc.size());
+    for (std::size_t i = 0; i < doc.size(); ++i) {
+      const auto& [k, v] = doc.members()[i];
+      ASSERT_EQ(back->members()[i].first, k) << i;
+      ASSERT_EQ(back->members()[i].second.as_int(), v.as_int()) << k;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- report
