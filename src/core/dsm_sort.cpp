@@ -160,25 +160,33 @@ class DsmSortSim {
     rep_.pass1_seconds = pass1_end_ - t0_;
     validate_pass1(rep_);
     rep_.makespan = eng_.now() - t0_;
+    if (manager_ != nullptr) manager_->remove_client(client_);
     finished_flag_ = true;
   }
 
   [[nodiscard]] bool job_finished() const noexcept { return finished_flag_; }
   [[nodiscard]] const DsmSortReport& job_report() const { return rep_; }
-  [[nodiscard]] SwitchableRouter* job_switch_router() const noexcept {
-    return switch_router_;
-  }
-  [[nodiscard]] std::vector<asu_ns::Node*> job_sort_placement() {
-    return host_nodes_vec();
-  }
-  void set_external_manager(LoadManager* manager, std::size_t client) {
-    ext_manager_ = manager;
-    ext_client_ = client;
-    // Declare each sort instance's migration economics to the shared
-    // arbiter. Must run after the scheduler's client_instances() call
-    // (which resets declarations), which the wiring order guarantees.
-    for (unsigned hh = 0; hh < h_; ++hh) {
-      manager->declare_instance(client, hh, sort_declaration(hh));
+
+  /// The one management attach path, shared by both modes: register a
+  /// client of `manager`, hand it the switchable sort router (if built),
+  /// and — with migration on — the sort instances (one per host, any
+  /// host a candidate destination), each declaring its live working set
+  /// and wire cost so the placer can price moves and pick pre-copy vs
+  /// stop-copy. The consult point in sort_instance() then plans,
+  /// consults and confirms through this client.
+  void attach_manager(LoadManager& manager, const std::string& label) {
+    manager_ = &manager;
+    client_ = manager.add_client(label);
+    if (switch_router_ != nullptr) {
+      manager.client_router(client_, switch_router_);
+    }
+    if (cfg_.load_manager.migration) {
+      std::vector<MigrationDeclaration> decls;
+      for (unsigned hh = 0; hh < h_; ++hh) {
+        decls.push_back(sort_declaration(hh));
+      }
+      manager.client_instances(client_, host_nodes_vec(), host_nodes_vec(),
+                               std::move(decls));
     }
   }
 
@@ -390,20 +398,9 @@ class DsmSortSim {
       monitor_ =
           std::make_unique<LoadMonitor>(cluster_, cfg_.load_manager.period);
       if (cfg_.load_manager.mode == LoadManagerMode::Manage) {
-        manager_ = std::make_unique<LoadManager>(eng_, cfg_.load_manager);
-        if (switch_router_ != nullptr) {
-          manager_->manage_router(switch_router_);
-        }
-        if (cfg_.load_manager.migration) {
-          // Sort instances (one per host) may migrate; any host is a
-          // candidate destination. Each declares its live working set
-          // (staged records) and wire cost so the placer can price
-          // moves and pick pre-copy vs stop-copy.
-          manager_->manage_instances(host_nodes_vec(), host_nodes_vec());
-          for (unsigned hh = 0; hh < h_; ++hh) {
-            manager_->declare_instance(hh, sort_declaration(hh));
-          }
-        }
+        owned_manager_ =
+            std::make_unique<LoadManager>(eng_, cfg_.load_manager);
+        attach_manager(*owned_manager_, "");
         monitor_->set_observer(
             [this](const LoadSample& s) { manager_->on_sample(s); });
       }
@@ -518,7 +515,6 @@ class DsmSortSim {
     decl.working_set_bytes = [this, hh] {
       return sort_staged_records_[hh] * mp_.record_bytes;
     };
-    decl.overhead_bytes = kMigrationOverheadBytes;
     decl.wire_seconds_per_byte =
         2.0 / mp_.host_nic_bandwidth + 1.0 / mp_.link_bandwidth;
     decl.dirty_fraction = kPrecopyDirtyFraction;
@@ -682,11 +678,8 @@ class DsmSortSim {
       // exactly its staged records, so that is what the move ships (plus
       // the fixed control/context overhead). Packets already in flight
       // complete against the old location's accounting.
-      if (manager_ != nullptr || ext_manager_ != nullptr) {
-        const MigrationPlan& plan =
-            manager_ != nullptr
-                ? manager_->migration_plan(hh)
-                : ext_manager_->migration_plan(ext_client_, hh);
+      if (manager_ != nullptr) {
+        const MigrationPlan& plan = manager_->migration_plan(client_, hh);
         asu_ns::Node* target = plan.to;
         if (target != nullptr && target != node) {
           std::size_t staged = 0;
@@ -725,11 +718,7 @@ class DsmSortSim {
                 cluster_.topology().rack_of_host(unsigned(target->id()));
           }
           to_sort_->set_target_node(hh, *target);
-          if (manager_ != nullptr) {
-            manager_->migration_performed(hh, *target);
-          } else {
-            ext_manager_->migration_performed(ext_client_, hh, *target);
-          }
+          manager_->migration_performed(client_, hh, *target);
         }
       }
       const std::uint64_t parent_flow = p->trace_id;
@@ -1294,7 +1283,12 @@ class DsmSortSim {
   std::uint32_t dsm_track_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<LoadMonitor> monitor_;
-  std::unique_ptr<LoadManager> manager_;
+  std::unique_ptr<LoadManager> owned_manager_;  // standalone Manage only
+  /// The manager this run's consult points use (owned_manager_ when
+  /// standalone, the scheduler's shared one when embedded; null when
+  /// unmanaged) and this run's client id in it.
+  LoadManager* manager_ = nullptr;
+  std::size_t client_ = 0;
   std::unique_ptr<obs::Sampler> sampler_;
   obs::LatencyHistogram* sort_hist_ = nullptr;
   obs::LatencyHistogram* store_hist_ = nullptr;
@@ -1313,8 +1307,6 @@ class DsmSortSim {
   std::size_t total_instances_ = 0;
   std::size_t finished_instances_ = 0;
   sim::Condition job_done_{eng_};
-  LoadManager* ext_manager_ = nullptr;  // shared cross-job arbiter
-  std::size_t ext_client_ = 0;
   DsmSortReport rep_;
   bool finished_flag_ = false;
 };
@@ -1341,17 +1333,9 @@ const DsmSortReport& DsmSortJob::report() const {
   return sim_->job_report();
 }
 
-SwitchableRouter* DsmSortJob::switch_router() const {
-  return sim_->job_switch_router();
-}
-
-std::vector<asu::Node*> DsmSortJob::sort_placement() const {
-  return sim_->job_sort_placement();
-}
-
-void DsmSortJob::set_external_manager(LoadManager* manager,
-                                      std::size_t client) {
-  sim_->set_external_manager(manager, client);
+void DsmSortJob::attach_manager(LoadManager& manager,
+                                const std::string& label) {
+  sim_->attach_manager(manager, label);
 }
 
 obs::Json dsm_report_to_json(const DsmSortReport& rep) {

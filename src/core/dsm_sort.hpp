@@ -258,11 +258,11 @@ class DsmSortSim;
 /// against the caller's cluster, body() is the root coroutine the
 /// scheduler spawns, and report() is valid once finished(). Embedded
 /// jobs never construct their own monitor/manager, sampler, or fault
-/// injector — the tenant scheduler owns cross-job arbitration (shared
-/// LoadManager clients) and the cluster's fault timeline — and pass 2
-/// is unsupported (std::invalid_argument at construction). Give each
-/// concurrent job a unique cfg.label or their registry instruments
-/// collide.
+/// injector — the tenant scheduler owns cross-job arbitration (one
+/// shared LoadManager, see attach_manager) and the cluster's fault
+/// timeline — and pass 2 is unsupported (std::invalid_argument at
+/// construction). Give each concurrent job a unique cfg.label or their
+/// registry instruments collide.
 class DsmSortJob {
  public:
   DsmSortJob(sim::Engine& eng, asu::Cluster& cluster,
@@ -284,18 +284,12 @@ class DsmSortJob {
   /// belong to the shared engine's owner.
   [[nodiscard]] const DsmSortReport& report() const;
 
-  /// The job's switchable sort router (nullptr unless built with mode
-  /// Manage + router_swap + distribute_on_asus), for registration with
-  /// a shared LoadManager client.
-  [[nodiscard]] SwitchableRouter* switch_router() const;
-
-  /// Initial placement of the sort instances (hosts 0..H-1), matching
-  /// the instance indexing LoadManager::client_instances expects.
-  [[nodiscard]] std::vector<asu::Node*> sort_placement() const;
-
-  /// Wire this job's migration consult points to a shared cross-job
-  /// LoadManager client (plan → consult → confirm, per client).
-  void set_external_manager(LoadManager* manager, std::size_t client);
+  /// Register this job as a client of a shared cross-job LoadManager
+  /// (labeled `label`): its switchable sort router, if built, and its
+  /// declared sort instances, whose consult points then plan → consult →
+  /// confirm through that client. Call before spawning body(), which
+  /// detaches the client when the job completes.
+  void attach_manager(LoadManager& manager, const std::string& label);
 
  private:
   std::unique_ptr<DsmSortSim> sim_;

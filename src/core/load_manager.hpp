@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,8 +101,17 @@ struct LoadSample {
 /// observable and testable on its own.
 class LoadMonitor {
  public:
+  /// `period_seconds` must be > 0 (std::invalid_argument otherwise): a
+  /// zero-length sleep does not suspend, so a non-positive period would
+  /// take every sample at one instant and leave the run unobserved.
   LoadMonitor(asu::Cluster& cluster, double period_seconds = 0.05)
-      : cluster_(&cluster), period_(period_seconds) {}
+      : cluster_(&cluster), period_(period_seconds) {
+    if (!(period_seconds > 0)) {
+      throw std::invalid_argument(
+          "LoadMonitor: sampling period must be > 0 (got " +
+          std::to_string(period_seconds) + ")");
+    }
+  }
 
   /// Spawn the sampling process; it runs until the engine drains (it
   /// samples only while other work is pending, so it cannot keep the
@@ -159,9 +169,8 @@ class LoadMonitor {
     for (const auto& s : samples_) {
       const auto load = s.host_load();
       if (load.empty()) continue;
-      const double w = s.period > 0 ? s.period : period_;
       const double peak = *std::max_element(load.begin(), load.end());
-      if (peak / (w > 0 ? w : 1.0) < min_load_factor) continue;
+      if (peak / s.period < min_load_factor) continue;
       sum += s.host_imbalance();
       ++n;
     }
@@ -225,7 +234,6 @@ class LoadMonitor {
       // Pressure = (queued backlog + work accepted this window) per
       // window second: the dimensionless utilization-like signal the
       // placer's economy ranks nodes by (DESIGN.md §16).
-      const double win = period_ > 0 ? period_ : 1.0;
       for (unsigned h = 0; h < cluster_->num_hosts(); ++h) {
         const asu::Node& n = cluster_->host(h);
         const double b = n.cpu().backlog();
@@ -236,7 +244,7 @@ class LoadMonitor {
         host_service_base[h] = total;
         s.host_rate.push_back(n.speed() * n.cpu().rate_scale());
         host_gauges[h]->set(b);
-        host_pressure[h]->set((b + offered) / win);
+        host_pressure[h]->set((b + offered) / period_);
       }
       for (unsigned a = 0; a < cluster_->num_asus(); ++a) {
         const asu::Node& n = cluster_->asu(a);
@@ -248,7 +256,7 @@ class LoadMonitor {
         asu_service_base[a] = total;
         s.asu_rate.push_back(n.speed() * n.cpu().rate_scale());
         asu_gauges[a]->set(b);
-        asu_pressure[a]->set((b + offered) / win);
+        asu_pressure[a]->set((b + offered) / period_);
       }
       imbalance_gauge.set(s.host_imbalance());
       if (rack_imbalance_gauge != nullptr) {
@@ -318,6 +326,12 @@ inline const char* migration_mode_name(MigrationMode m) noexcept {
   return m == MigrationMode::PreCopy ? "pre-copy" : "stop-copy";
 }
 
+/// Fixed overhead of moving a functor instance between nodes, on top of
+/// its declared state bytes: control messages plus the execution context
+/// that moves with the functor (Section 3.3). The default
+/// MigrationDeclaration::overhead_bytes.
+inline constexpr std::size_t kMigrationOverheadBytes = 4096;
+
 /// Declared migration economics of one functor instance (ROADMAP item 5:
 /// every migratable instance carries a declared working-set size and
 /// migration cost). The working set is a callback, not a number, because
@@ -332,8 +346,8 @@ struct MigrationDeclaration {
   std::function<std::size_t()> working_set_bytes{};
 
   /// Fixed control/context cost of any move, shipped stalled in either
-  /// mode (mirrors core::kMigrationOverheadBytes).
-  std::size_t overhead_bytes = 4096;
+  /// mode.
+  std::size_t overhead_bytes = kMigrationOverheadBytes;
 
   /// Declared wire cost of the move's path, seconds per byte. 0 (unset)
   /// disables stall estimation: the placer prices every move at zero
@@ -371,7 +385,7 @@ struct MigrationPlan {
 /// migration_performed() and the lm.* counters.
 struct PlacerDecision {
   double time = 0;
-  std::string client;          ///< client label ("" = anonymous client 0)
+  std::string client;          ///< client label ("" = unlabeled client)
   std::size_t instance = 0;
   std::string from;
   std::string to;
@@ -458,24 +472,20 @@ struct LoadManagerEvent {
 /// instances onto less-loaded nodes (the paper's functor migration,
 /// Section 3.3).
 ///
-/// Multi-tenant arbitration: the manager holds a registry of *clients*
-/// (one per concurrently running program). Client 0 always exists — it
-/// is the anonymous legacy client behind the single-program
-/// manage_router / manage_instances / migration_target(i) API, and it
-/// charges the original `lm.migrations` / `lm.router_switches` counters,
-/// so single-program callers are byte-compatible. add_client() registers
-/// further labeled clients (one per tenant job); their actions charge
-/// both the aggregate counters and per-tenant `lm.<label>.*` counters,
-/// and their journal lines carry the label. Decisions are arbitrated
-/// globally: one shared cooldown and one migration *budget* per tick
-/// across ALL clients' instances (moves and bytes,
-/// LoadManagerConfig::budget_*), chosen against aggregate per-node load
-/// read directly off the candidate nodes and priced from each
-/// instance's MigrationDeclaration.
+/// Every caller is a *client* (one per concurrently running program),
+/// registered with add_client() and addressed by the returned id.
+/// Clients charge the aggregate `lm.migrations` / `lm.router_switches`
+/// counters; a labeled client (one per tenant) additionally charges
+/// per-tenant `lm.<label>.*` counters, and its journal lines carry the
+/// label. Decisions are arbitrated globally: one shared cooldown and one
+/// migration *budget* per tick across ALL clients' instances (moves and
+/// bytes, LoadManagerConfig::budget_*), chosen against aggregate
+/// per-node load read directly off the candidate nodes and priced from
+/// each instance's MigrationDeclaration.
 ///
 /// Division of labor for migration: the manager only *plans* a move (it
 /// runs off the sampling tick and cannot touch functor state); the stage
-/// coroutine that owns the instance consults migration_target() between
+/// coroutine that owns the instance consults migration_plan() between
 /// packets, pays the state transfer itself, re-pins the instance's inbox
 /// via StageOutput::set_target_node, and then confirms with
 /// migration_performed(). Until confirmation the plan stays pending and
@@ -487,19 +497,23 @@ class LoadManager {
         cfg_(cfg),
         migrations_counter_(&eng.metrics().counter("lm.migrations")),
         switches_counter_(&eng.metrics().counter("lm.router_switches")),
-        track_(eng.tracer().track("load-manager")) {
-    // Client 0: the anonymous legacy client (empty label charges the
-    // aggregate counters directly, so single-program metric names and
-    // counts are unchanged).
-    clients_.push_back(make_client(""));
-  }
+        track_(eng.tracer().track("load-manager")) {}
 
-  /// Register a labeled client (one per tenant job); returns its id for
-  /// the per-client API below. Empty labels share the aggregate
-  /// counters; non-empty labels additionally charge
-  /// `lm.<label>.migrations` / `lm.<label>.router_switches`.
+  /// Register a client; returns its id for the per-client API below. An
+  /// empty label charges only the aggregate counters (a single-program
+  /// run keeps its legacy metric names); a non-empty label additionally
+  /// charges `lm.<label>.migrations` / `lm.<label>.router_switches`.
   std::size_t add_client(const std::string& label) {
-    clients_.push_back(make_client(label));
+    Client& cl = clients_.emplace_back();
+    cl.label = label;
+    if (label.empty()) {
+      cl.migrations = migrations_counter_;
+      cl.switches = switches_counter_;
+    } else {
+      cl.migrations = &eng_->metrics().counter("lm." + label + ".migrations");
+      cl.switches =
+          &eng_->metrics().counter("lm." + label + ".router_switches");
+    }
     return clients_.size() - 1;
   }
 
@@ -517,44 +531,37 @@ class LoadManager {
     if (!cl.label.empty()) journal(eng_->now(), cl.label + ": detached");
   }
 
-  /// Attach the stage router to hot-swap (optional; may be wrapped in an
-  /// InstrumentedRouter — pass the inner SwitchableRouter).
-  void manage_router(SwitchableRouter* router) { client_router(0, router); }
+  /// Attach client `c`'s stage router to hot-swap (optional; may be
+  /// wrapped in an InstrumentedRouter — pass the inner SwitchableRouter).
   void client_router(std::size_t c, SwitchableRouter* router) {
     clients_.at(c).router = router;
   }
 
-  /// Attach the replicated instances eligible for migration: their
-  /// current placement (indexed like the stage's instances) and the
-  /// candidate node set moves may target.
-  void manage_instances(std::vector<asu::Node*> placement,
-                        std::vector<asu::Node*> candidates) {
-    client_instances(0, std::move(placement), std::move(candidates));
-  }
+  /// Attach client `c`'s replicated instances eligible for migration:
+  /// their current placement (indexed like the stage's instances), the
+  /// candidate node set moves may target, and one MigrationDeclaration
+  /// per instance (working set, wire cost, dirty fraction). An empty
+  /// `decls` gives every instance the default (overhead-only, stop-copy)
+  /// declaration.
   void client_instances(std::size_t c, std::vector<asu::Node*> placement,
-                        std::vector<asu::Node*> candidates) {
+                        std::vector<asu::Node*> candidates,
+                        std::vector<MigrationDeclaration> decls = {}) {
+    if (decls.empty()) {
+      decls.resize(placement.size());
+    } else if (decls.size() != placement.size()) {
+      throw std::invalid_argument(
+          "LoadManager::client_instances: one declaration per instance");
+    }
     Client& cl = clients_.at(c);
     cl.placement = std::move(placement);
     cl.candidates = std::move(candidates);
+    cl.declarations = std::move(decls);
     cl.pending.assign(cl.placement.size(), MigrationPlan{});
     cl.dwell_left.assign(cl.placement.size(), 0);
-    cl.declarations.assign(cl.placement.size(), MigrationDeclaration{});
     cl.cand_service.clear();
     for (const asu::Node* n : cl.candidates) {
       cl.cand_service.push_back(n->cpu().total_service());
     }
-  }
-
-  /// Declare instance `i`'s migration economics (working set, wire cost,
-  /// dirty fraction). Call after client_instances / manage_instances —
-  /// that call resets declarations to the default (overhead-only,
-  /// stop-copy) declaration.
-  void declare_instance(std::size_t c, std::size_t i,
-                        MigrationDeclaration decl) {
-    clients_.at(c).declarations.at(i) = std::move(decl);
-  }
-  void declare_instance(std::size_t i, MigrationDeclaration decl) {
-    declare_instance(0, i, std::move(decl));
   }
 
   /// The decision tick; plug into LoadMonitor::set_observer.
@@ -569,36 +576,20 @@ class LoadManager {
     maybe_plan_migration(s);
   }
 
-  /// Stage-side consult point: the planned destination for instance `i`,
-  /// or nullptr. The plan stays up until migration_performed() confirms
-  /// it (the stage may be blocked in recv and pick it up late).
-  [[nodiscard]] asu::Node* migration_target(std::size_t i) const {
-    return migration_target(0, i);
-  }
-  [[nodiscard]] asu::Node* migration_target(std::size_t c,
-                                            std::size_t i) const {
-    const Client& cl = clients_.at(c);
-    return i < cl.pending.size() ? cl.pending[i].to : nullptr;
-  }
-
-  /// Full pending plan for instance `i` (mode, priced bytes, stall
-  /// estimate) — the consult point reads this to choose how to pay for
-  /// the move. `to == nullptr` means no plan.
+  /// Stage-side consult point: client `c`'s pending plan for instance
+  /// `i` (destination, mode, priced bytes, stall estimate); `to ==
+  /// nullptr` means no plan. The plan stays up until
+  /// migration_performed() confirms it (the stage may be blocked in recv
+  /// and pick it up late).
   [[nodiscard]] const MigrationPlan& migration_plan(std::size_t c,
                                                     std::size_t i) const {
     static const MigrationPlan none{};
     const Client& cl = clients_.at(c);
     return i < cl.pending.size() ? cl.pending[i] : none;
   }
-  [[nodiscard]] const MigrationPlan& migration_plan(std::size_t i) const {
-    return migration_plan(0, i);
-  }
 
-  /// Confirm that instance `i` now runs on `to` (the stage already paid
-  /// the transfer and re-pinned its inbox).
-  void migration_performed(std::size_t i, asu::Node& to) {
-    migration_performed(0, i, to);
-  }
+  /// Confirm that client `c`'s instance `i` now runs on `to` (the stage
+  /// already paid the transfer and re-pinned its inbox).
   void migration_performed(std::size_t c, std::size_t i, asu::Node& to) {
     Client& cl = clients_.at(c);
     cl.placement.at(i) = &to;
@@ -615,12 +606,6 @@ class LoadManager {
   }
   [[nodiscard]] std::uint64_t router_switches() const noexcept {
     return switches_counter_->value();
-  }
-  [[nodiscard]] std::uint64_t client_migrations(std::size_t c) const {
-    return clients_.at(c).migrations->value();
-  }
-  [[nodiscard]] std::uint64_t client_router_switches(std::size_t c) const {
-    return clients_.at(c).switches->value();
   }
   [[nodiscard]] const std::vector<LoadManagerEvent>& events() const noexcept {
     return journal_;
@@ -652,20 +637,6 @@ class LoadManager {
     obs::Counter* migrations = nullptr;
     obs::Counter* switches = nullptr;
   };
-
-  [[nodiscard]] Client make_client(const std::string& label) {
-    Client cl;
-    cl.label = label;
-    if (label.empty()) {
-      cl.migrations = migrations_counter_;
-      cl.switches = switches_counter_;
-    } else {
-      cl.migrations = &eng_->metrics().counter("lm." + label + ".migrations");
-      cl.switches =
-          &eng_->metrics().counter("lm." + label + ".router_switches");
-    }
-    return cl;
-  }
 
   [[nodiscard]] static std::string tag(const Client& cl) {
     return cl.label.empty() ? std::string() : cl.label + ": ";
@@ -709,6 +680,16 @@ class LoadManager {
     }
   }
 
+  /// One candidate move the placer considers this tick, priced from the
+  /// instance's declaration; `plan.to == nullptr` means none was found.
+  struct Move {
+    std::size_t c = 0;       // client index
+    std::size_t i = 0;       // instance index within the client
+    std::size_t from_j = 0;  // indices into the client's candidate set
+    std::size_t to_j = 0;
+    MigrationPlan plan;
+  };
+
   /// Plan at most one move per tick ACROSS ALL CLIENTS: the instance
   /// whose projected gain is largest, and only when the gain is
   /// sustained. Per-node load is read directly off the candidate nodes
@@ -724,16 +705,6 @@ class LoadManager {
   /// queue. Hence the comparison is load-here vs load-there, and the
   /// factor + dwell absorb the transient where the old node is still
   /// draining work the instance left behind.
-  /// One candidate move the placer considers this tick, priced from the
-  /// instance's declaration.
-  struct Move {
-    Client* cl = nullptr;
-    std::size_t i = 0;       // instance index within the client
-    std::size_t from_j = 0;  // indices into the client's candidate set
-    std::size_t to_j = 0;
-    MigrationPlan plan;
-  };
-
   void maybe_plan_migration(const LoadSample& s) {
     if (!cfg_.migration) return;
     // Refresh every client's candidate load vector once per tick (queued
@@ -775,7 +746,7 @@ class LoadManager {
             if (to == from || !to->running()) continue;
             if (load_here >= cfg_.migrate_factor * load[j] &&
                 load_here - load[j] > best.plan.gain) {
-              best.cl = &cl;
+              best.c = c;
               best.i = i;
               best.from_j = fj;
               best.to_j = j;
@@ -791,7 +762,7 @@ class LoadManager {
     // The hysteresis streak counts ticks where at least one admissible
     // move exists (gain, factor, actionability, AND byte budget — a move
     // too fat for the per-tick budget cannot sustain the streak).
-    const bool any = best_move(cfg_.budget_bytes_per_tick).cl != nullptr;
+    const bool any = best_move(cfg_.budget_bytes_per_tick).plan.to != nullptr;
     migrate_streak_ = any ? migrate_streak_ + 1 : 0;
     if (!any || migrate_streak_ < cfg_.migrate_hysteresis ||
         cooldown_left_ != 0) {
@@ -807,25 +778,23 @@ class LoadManager {
     std::size_t bytes_left = cfg_.budget_bytes_per_tick;
     std::size_t planned = 0;
     while (moves_left > 0) {
-      Move m = best_move(bytes_left);
-      if (m.cl == nullptr) break;
-      m.cl->pending[m.i] = m.plan;
+      const Move m = best_move(bytes_left);
+      if (m.plan.to == nullptr) break;
+      Client& cl = clients_[m.c];
+      cl.pending[m.i] = m.plan;
       --moves_left;
       bytes_left -= m.plan.bytes;
       ++planned;
-      auto& load = loads[std::size_t(
-          std::find_if(clients_.begin(), clients_.end(),
-                       [&](const Client& cl) { return &cl == m.cl; }) -
-          clients_.begin())];
+      auto& load = loads[m.c];
       const double mean = (load[m.from_j] + load[m.to_j]) / 2.0;
       load[m.from_j] = load[m.to_j] = mean;
       journal(eng_->now(),
-              tag(*m.cl) + "plan migrate i" + std::to_string(m.i) + " " +
-                  m.cl->placement[m.i]->name() + " -> " + m.plan.to->name() +
+              tag(cl) + "plan migrate i" + std::to_string(m.i) + " " +
+                  cl.placement[m.i]->name() + " -> " + m.plan.to->name() +
                   " (" + migration_mode_name(m.plan.mode) + ", " +
                   std::to_string(m.plan.bytes) + " B)");
-      decisions_.push_back({eng_->now(), m.cl->label, m.i,
-                            m.cl->placement[m.i]->name(), m.plan.to->name(),
+      decisions_.push_back({eng_->now(), cl.label, m.i,
+                            cl.placement[m.i]->name(), m.plan.to->name(),
                             m.plan.mode, m.plan.bytes, m.plan.est_stall,
                             m.plan.gain});
     }

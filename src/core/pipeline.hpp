@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -33,23 +32,12 @@ struct FunctorCost {
   }
 };
 
-/// Fixed overhead charged when a functor instance migrates between nodes,
-/// on top of its declared state bytes: control messages plus the
-/// execution context that moves with the functor (Section 3.3). Shared by
-/// Program's migrate hook and the online LoadManager wiring so both
-/// charge the paper's migration cost identically.
-inline constexpr std::size_t kMigrationOverheadBytes = 4096;
-
-/// One instance of a (possibly replicated) downstream functor: its inbox
-/// and the node it is pinned to. A null channel marks a REMOTE instance —
-/// one owned by another simulation shard (sim::ShardedEngine, DESIGN.md
-/// §14): it has no local inbox, is never offered to the router, and its
-/// packets leave the engine through StageOutput::set_remote_sink.
+/// One instance of a (possibly replicated) downstream functor: the inbox
+/// its packets are delivered to and the node it is pinned to (re-pinned
+/// by StageOutput::set_target_node when the instance migrates).
 struct Endpoint {
   sim::Channel<Packet>* ch = nullptr;
   asu::Node* node = nullptr;
-
-  [[nodiscard]] bool remote() const noexcept { return ch == nullptr; }
 };
 
 /// Everything that shapes one outbound stage, as an options struct so
@@ -172,19 +160,6 @@ class StageOutput {
     return *endpoints_.at(i).node;
   }
 
-  /// Cross-shard delivery hook (sim::ShardedEngine integration): called
-  /// with (instance index, arrival sim-time, packet) when a packet is
-  /// emitted to a remote endpoint. The sender side of the transfer — its
-  /// NIC serialization and the wire propagation latency — is charged in
-  /// THIS engine before the sink fires; receiver-side charging (NIC,
-  /// inbox backpressure) belongs to the shard that owns the instance and
-  /// happens when it applies the message at a window boundary. Remote
-  /// endpoints are reachable via emit_to only: routing policies need
-  /// receiver-local load state this shard cannot see, so the router's
-  /// active set never includes them.
-  using RemoteSink = std::function<void(std::size_t, double, Packet&&)>;
-  void set_remote_sink(RemoteSink sink) { remote_sink_ = std::move(sink); }
-
   /// Re-pin an instance's inbox to a new node (functor migration):
   /// subsequent transfers are charged to the new location. Packets
   /// already in flight complete against the old accounting.
@@ -244,12 +219,9 @@ class StageOutput {
   /// Deliver to an explicit instance (ordered streams pin their route).
   [[nodiscard]] sim::Task<> emit_to(std::size_t idx, asu::Node& from,
                                     Packet p) {
-    // Fail at the emit site, not in the spawned deliver() task: the
-    // producer coroutine holds the context a debugger needs.
-    if (endpoints_.at(idx).remote() && !remote_sink_) {
-      throw std::logic_error("StageOutput '" + name_ +
-                             "': emit_to targeted a remote endpoint but no "
-                             "remote sink is installed (set_remote_sink)");
+    if (idx >= endpoints_.size()) {
+      throw std::out_of_range("StageOutput '" + name_ +
+                              "': emit_to instance index out of range");
     }
     while (inflight_ >= window_) {
       co_await slot_free_.wait();
@@ -315,8 +287,6 @@ class StageOutput {
     active_.clear();
     active_index_.clear();
     for (std::size_t i = 0; i < targets_.size(); ++i) {
-      // Remote instances never enter the active set (emit_to-only).
-      if (endpoints_[i].remote()) continue;
       if (targets_[i].node->running()) {
         active_.push_back(targets_[i]);
         active_index_.push_back(i);
@@ -335,22 +305,6 @@ class StageOutput {
 
   [[nodiscard]] sim::Task<> deliver(std::size_t idx, asu::Node* from,
                                     Packet p, std::size_t bytes) {
-    if (endpoints_[idx].remote()) {
-      // The packet leaves this engine: sender NIC was charged in emit_to,
-      // the wire latency elapses here, and the sink takes ownership.
-      // Delivery/queue-wait telemetry is the receiving shard's to
-      // measure — it sees the inbox this shard does not have.
-      co_await eng_->sleep(net_->sample_latency());
-      if (p.trace_id != 0 && eng_->tracer().enabled()) {
-        eng_->tracer().flow_step(track_, "remote i" + std::to_string(idx),
-                                 eng_->now(), p.trace_id);
-      }
-      remote_sink_(idx, eng_->now(), std::move(p));
-      --inflight_;
-      slot_free_.notify_one();
-      if (inflight_ == 0) drained_.notify_all();
-      co_return;
-    }
     std::size_t tries = 0;
     for (;;) {
       Endpoint& ep = endpoints_[idx];
@@ -437,11 +391,7 @@ class StageOutput {
     while (inflight_ > 0) {
       co_await drained_.wait();
     }
-    // Remote instances have no local inbox to close; their stream
-    // termination is coordinated by whoever owns the remote sink.
-    for (auto& ep : endpoints_) {
-      if (!ep.remote()) ep.ch->close();
-    }
+    for (auto& ep : endpoints_) ep.ch->close();
   }
 
   [[nodiscard]] double link_bandwidth() const noexcept {
@@ -477,7 +427,6 @@ class StageOutput {
   obs::LatencyHistogram* delivery_hist_ = nullptr;
   obs::LatencyHistogram* queue_wait_hist_ = nullptr;
   obs::Counter* retries_counter_ = nullptr;
-  RemoteSink remote_sink_;
   std::vector<obs::Counter*> routed_;
   std::uint32_t track_ = 0;
 };

@@ -75,17 +75,6 @@ struct Program::Impl {
       // A crashed instance keeps its accepted packets queued but pauses
       // processing until recovery (nothing is lost, work resumes).
       while (!node->running()) co_await node->health_wait();
-      if (st.spec.migrate) {
-        if (asu::Node* target = st.spec.migrate(i, *node);
-            target != nullptr && target != node) {
-          co_await cluster->network().transfer(
-              *node, *target,
-              functor->state_bytes() + kMigrationOverheadBytes);
-          node = target;
-          outputs[stage_index]->set_target_node(i, *target);
-          ++st.stats.migrations;
-        }
-      }
       st.stats.packets_in++;
       st.stats.records_in += p->records.size();
       const double cost = functor->cost().packet_cost(p->records.size());

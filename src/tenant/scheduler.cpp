@@ -335,23 +335,11 @@ class TenantScheduler {
     jc.load_manager = cfg_.load_manager;
 
     core::DsmSortJob job(eng_, cluster_, jc);
-    std::size_t client = 0;
-    if (manager_ != nullptr) {
-      // Clients are labeled by TENANT (not job), so lm.<tenant>.*
-      // counters aggregate a tenant's jobs and journal lines read as
-      // "alice: plan migrate ...".
-      client = manager_->add_client(ts.name);
-      if (job.switch_router() != nullptr) {
-        manager_->client_router(client, job.switch_router());
-      }
-      if (cfg_.load_manager.migration) {
-        manager_->client_instances(client, job.sort_placement(),
-                                   job.sort_placement());
-      }
-      job.set_external_manager(manager_.get(), client);
-    }
+    // Clients are labeled by TENANT (not job), so lm.<tenant>.* counters
+    // aggregate a tenant's jobs and journal lines read as
+    // "alice: plan migrate ...". The job detaches itself on completion.
+    if (manager_ != nullptr) job.attach_manager(*manager_, ts.name);
     co_await job.body();
-    if (manager_ != nullptr) manager_->remove_client(client);
     const core::DsmSortReport& r = job.report();
     out.records_in = r.records_in;
     out.records_out = r.records_stored;

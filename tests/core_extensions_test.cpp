@@ -489,137 +489,3 @@ TEST(DsmMatrix, Gamma2CapForcesMultiPassMergeAndStaysCorrect) {
 }
 
 }  // namespace
-
-// ---------- remote (cross-shard) endpoints ----------
-
-namespace {
-
-sim::Task<> drain(sim::Channel<core::Packet>& in,
-                  std::vector<core::Packet>& got) {
-  while (auto p = co_await in.recv()) {
-    got.push_back(std::move(*p));
-  }
-}
-
-core::Packet remote_packet(std::size_t records) {
-  core::Packet p;
-  p.subset = 7;
-  for (std::size_t r = 0; r < records; ++r) {
-    p.records.push_back({std::uint32_t(r), std::uint32_t(r)});
-  }
-  return p;
-}
-
-TEST(RemoteEndpoint, SinkReceivesPacketAfterSenderSideCharging) {
-  // A null-channel endpoint models an instance owned by another shard
-  // (sim::ShardedEngine): the local engine charges the sender NIC and
-  // the wire latency, then hands the packet to the sink.
-  sim::Engine eng;
-  auto mp = machine(1, 1);
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, 1, 4);
-  auto eps = inboxes.endpoints({&cluster.asu(0)});
-  eps.push_back(core::Endpoint{nullptr, nullptr});  // remote instance
-  ASSERT_TRUE(eps[1].remote());
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{.record_bytes = mp.record_bytes,
-                      .endpoints = std::move(eps),
-                      .router = std::make_unique<core::RoundRobinRouter>(),
-                      .producers = 1,
-                      .name = "xshard"});
-
-  struct Arrival {
-    std::size_t idx;
-    double at;
-    core::Packet p;
-  };
-  std::vector<Arrival> sunk;
-  out.set_remote_sink([&](std::size_t idx, double at, core::Packet&& p) {
-    sunk.push_back({idx, at, std::move(p)});
-  });
-
-  std::vector<core::Packet> local;
-  eng.spawn(drain(inboxes.inbox(0), local));
-  auto producer = [&]() -> sim::Task<> {
-    co_await out.emit_to(1, cluster.host(0), remote_packet(8));
-    out.producer_done();
-  };
-  eng.spawn(producer());
-  eng.run();
-
-  EXPECT_EQ(eng.unfinished_tasks(), 0u);
-  EXPECT_TRUE(local.empty());
-  ASSERT_EQ(sunk.size(), 1u);
-  EXPECT_EQ(sunk[0].idx, 1u);
-  EXPECT_EQ(sunk[0].p.records.size(), 8u);
-  // Sender-side occupancy elapsed before the hand-off: NIC serialization
-  // of 8 records plus one wire latency.
-  const double nic = double(8 * mp.record_bytes) / mp.host_nic_bandwidth;
-  EXPECT_GE(sunk[0].at, nic + mp.link_latency);
-  EXPECT_EQ(out.packets_sent(), 1u);
-}
-
-TEST(RemoteEndpoint, RouterNeverPicksRemoteInstances) {
-  sim::Engine eng;
-  auto mp = machine(1, 1);
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, 1, 8);
-  auto eps = inboxes.endpoints({&cluster.asu(0)});
-  eps.push_back(core::Endpoint{nullptr, nullptr});
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{.record_bytes = mp.record_bytes,
-                      .endpoints = std::move(eps),
-                      .router = std::make_unique<core::RoundRobinRouter>(),
-                      .producers = 1,
-                      .name = "xshard_rr"});
-  bool sink_fired = false;
-  out.set_remote_sink(
-      [&](std::size_t, double, core::Packet&&) { sink_fired = true; });
-
-  std::vector<core::Packet> local;
-  eng.spawn(drain(inboxes.inbox(0), local));
-  auto producer = [&]() -> sim::Task<> {
-    // Round-robin over the ACTIVE set: with the remote instance excluded
-    // every pick must land on the single local replica.
-    for (int i = 0; i < 6; ++i) {
-      co_await out.emit(cluster.host(0), remote_packet(2));
-    }
-    out.producer_done();
-  };
-  eng.spawn(producer());
-  eng.run();
-
-  EXPECT_EQ(eng.unfinished_tasks(), 0u);
-  EXPECT_EQ(local.size(), 6u);
-  EXPECT_FALSE(sink_fired);
-}
-
-TEST(RemoteEndpoint, EmitToRemoteWithoutSinkThrows) {
-  sim::Engine eng;
-  auto mp = machine(1, 1);
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, 1, 4);
-  auto eps = inboxes.endpoints({&cluster.asu(0)});
-  eps.push_back(core::Endpoint{nullptr, nullptr});
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{.record_bytes = mp.record_bytes,
-                      .endpoints = std::move(eps),
-                      .router = std::make_unique<core::RoundRobinRouter>(),
-                      .producers = 1,
-                      .name = "xshard_nosink"});
-
-  auto producer = [&]() -> sim::Task<> {
-    co_await out.emit_to(1, cluster.host(0), remote_packet(1));
-    out.producer_done();
-  };
-  eng.spawn(producer());
-  EXPECT_THROW(eng.run(), std::logic_error);
-}
-
-}  // namespace

@@ -1,11 +1,13 @@
 /// Online load management: the SwitchableRouter hot-swap decorator, the
 /// LoadManager control loop (hysteresis, cooldown, dwell, projected
-/// drain-time migration planning), and the DSM-Sort pass-1 integration
-/// (skewed input + Manage mode must act, conserve records, and stay
-/// deterministic; Off mode must be digest-identical to no manager).
+/// drain-time migration planning, cross-client arbitration), and the
+/// DSM-Sort pass-1 integration (skewed input + Manage mode must act,
+/// conserve records, and stay deterministic; Off mode must be
+/// digest-identical to no manager).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/core.hpp"
@@ -102,6 +104,11 @@ core::LoadSample sample_at(double t, std::vector<double> host_backlog) {
   return s;
 }
 
+/// Client `c`'s planned destination for instance `i` (nullptr = none).
+asu::Node* target(const core::LoadManager& lm, std::size_t c, std::size_t i) {
+  return lm.migration_plan(c, i).to;
+}
+
 core::LoadManagerConfig manage_cfg() {
   core::LoadManagerConfig cfg;
   cfg.mode = core::LoadManagerMode::Manage;
@@ -119,7 +126,7 @@ TEST(LoadManager, PromotesOnlyOnSustainedImbalanceThenDemotes) {
   core::SwitchableRouter router(
       std::make_unique<core::StaticPartitionRouter>(),
       std::make_unique<core::RoundRobinRouter>());
-  lm.manage_router(&router);
+  lm.client_router(lm.add_client(""), &router);
 
   // One hot sample is not enough (hysteresis = 2)...
   lm.on_sample(sample_at(0.1, {1.0, 0.0}));
@@ -150,7 +157,7 @@ TEST(LoadManager, TinyBacklogImbalanceIsIgnored) {
   core::SwitchableRouter router(
       std::make_unique<core::StaticPartitionRouter>(),
       std::make_unique<core::RoundRobinRouter>());
-  lm.manage_router(&router);
+  lm.client_router(lm.add_client(""), &router);
   for (int i = 0; i < 10; ++i) {
     lm.on_sample(sample_at(0.1 * i, {0.001, 0.0}));
   }
@@ -170,31 +177,32 @@ TEST(LoadManager, PlansMigrationOffOverloadedNodeWithDwell) {
   auto cfg = manage_cfg();
   cfg.router_swap = false;
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances({h0, h1}, {h0, h1});
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, {h0, h1}, {h0, h1});
 
   // h0 drowning, h1 idle: drain_here / drain_there >> migrate_factor.
   h0->cpu().post(10.0);
-  EXPECT_EQ(lm.migration_target(0), nullptr);
+  EXPECT_EQ(target(lm, c, 0), nullptr);
   lm.on_sample(sample_at(0.1, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), nullptr);  // hysteresis not met
+  EXPECT_EQ(target(lm, c, 0), nullptr);  // hysteresis not met
   lm.on_sample(sample_at(0.2, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), h1);  // planned
-  EXPECT_EQ(lm.migration_target(1), nullptr);
+  EXPECT_EQ(target(lm, c, 0), h1);  // planned
+  EXPECT_EQ(target(lm, c, 1), nullptr);
 
   // The plan stays pending (and is not re-issued) until the stage
   // confirms; confirmation flips placement and starts the dwell lockout.
   lm.on_sample(sample_at(0.3, {10.0, 0.0}));
-  EXPECT_EQ(lm.migration_target(0), h1);
-  lm.migration_performed(0, *h1);
+  EXPECT_EQ(target(lm, c, 0), h1);
+  lm.migration_performed(c, 0, *h1);
   EXPECT_EQ(lm.migrations(), 1u);
-  EXPECT_EQ(lm.migration_target(0), nullptr);
+  EXPECT_EQ(target(lm, c, 0), nullptr);
 
   // Still imbalanced on the nodes, but instance 0 is in dwell and
   // instance 1 has no qualifying move (its node is the idle one) — no
   // ping-pong plan may appear during the dwell window.
   for (int i = 0; i < 3; ++i) {
     lm.on_sample(sample_at(0.4 + 0.1 * i, {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), nullptr);
+    EXPECT_EQ(target(lm, c, 0), nullptr);
   }
 }
 
@@ -213,7 +221,8 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   cfg.router_swap = false;
   cfg.budget_moves_per_tick = 2;
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances(hosts, hosts);
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, hosts, hosts);
 
   // Two drowning hosts, two idle ones (the placer reads load off the
   // node CPUs). One gate opening must admit both moves in the same tick
@@ -227,8 +236,8 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   lm.on_sample(sample_at(0.2, {10.0, 10.0, 0.0, 0.0}));
   ASSERT_EQ(lm.decisions().size(), 2u);
   EXPECT_EQ(lm.decisions()[0].time, lm.decisions()[1].time);
-  asu::Node* to0 = lm.migration_target(0);
-  asu::Node* to1 = lm.migration_target(1);
+  asu::Node* to0 = target(lm, c, 0);
+  asu::Node* to1 = target(lm, c, 1);
   ASSERT_NE(to0, nullptr);
   ASSERT_NE(to1, nullptr);
   EXPECT_NE(to0, to1);
@@ -249,17 +258,17 @@ TEST(LoadManager, ByteBudgetMakesHeavyInstancesInadmissible) {
   cfg.router_swap = false;
   cfg.budget_bytes_per_tick = 10000;  // ~10 KB per tick
   core::LoadManager lm(eng, cfg);
-  lm.manage_instances({h0, h1}, {h0, h1});
   core::MigrationDeclaration heavy;
   heavy.working_set_bytes = [] { return std::size_t(1) << 20; };  // 1 MiB
-  lm.declare_instance(0, heavy);
+  const std::size_t c = lm.add_client("");
+  lm.client_instances(c, {h0, h1}, {h0, h1}, {heavy, {}});
 
   // Sustained overload, but the instance's declared bytes exceed the
   // tick budget every tick: the placer must never admit the move.
   h0->cpu().post(10.0);
   for (int i = 0; i < 6; ++i) {
     lm.on_sample(sample_at(0.1 * (i + 1), {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), nullptr);
+    EXPECT_EQ(target(lm, c, 0), nullptr);
   }
   EXPECT_EQ(lm.decisions().size(), 0u);
 
@@ -267,11 +276,11 @@ TEST(LoadManager, ByteBudgetMakesHeavyInstancesInadmissible) {
   // and the journal prices the declared megabyte.
   cfg.budget_bytes_per_tick = std::size_t(-1);
   core::LoadManager lifted(eng, cfg);
-  lifted.manage_instances({h0, h1}, {h0, h1});
-  lifted.declare_instance(0, heavy);
+  const std::size_t lc = lifted.add_client("");
+  lifted.client_instances(lc, {h0, h1}, {h0, h1}, {heavy, {}});
   lifted.on_sample(sample_at(0.1, {10.0, 0.0}));
   lifted.on_sample(sample_at(0.2, {10.0, 0.0}));
-  EXPECT_EQ(lifted.migration_target(0), h1);
+  EXPECT_EQ(target(lifted, lc, 0), h1);
   ASSERT_EQ(lifted.decisions().size(), 1u);
   EXPECT_EQ(lifted.decisions()[0].bytes, (std::size_t(1) << 20) + 4096);
 }
@@ -290,12 +299,12 @@ TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   h0->cpu().post(10.0);
   const auto plan_with = [&](core::MigrationDeclaration decl) {
     core::LoadManager lm(eng, cfg);
-    lm.manage_instances({h0, h1}, {h0, h1});
-    lm.declare_instance(0, std::move(decl));
+    const std::size_t c = lm.add_client("");
+    lm.client_instances(c, {h0, h1}, {h0, h1}, {std::move(decl), {}});
     lm.on_sample(sample_at(0.1, {10.0, 0.0}));
     lm.on_sample(sample_at(0.2, {10.0, 0.0}));
-    EXPECT_EQ(lm.migration_target(0), h1);
-    return lm.migration_plan(0);
+    EXPECT_EQ(target(lm, c, 0), h1);
+    return lm.migration_plan(c, 0);
   };
 
   // Bulk state on a priced wire: the stop-copy stall (~1s) dwarfs the
@@ -318,6 +327,126 @@ TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   EXPECT_EQ(stop.mode, core::MigrationMode::StopCopy);
   EXPECT_EQ(stop.bytes, 4096u);
   EXPECT_EQ(stop.est_stall, 0.0);
+}
+
+// ---------- Multi-client arbitration ----------
+
+std::uint64_t counter_value(sim::Engine& eng, const std::string& name) {
+  const auto* c = eng.metrics().find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(LoadManager, OneGateOpeningPlansOneMoveAcrossClients) {
+  sim::Engine eng;
+  asu::MachineParams mp;
+  mp.num_hosts = 4;
+  mp.num_asus = 1;
+  asu::Cluster cluster(eng, mp);
+  std::vector<asu::Node*> hosts;
+  for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
+
+  auto cfg = manage_cfg();
+  cfg.router_swap = false;
+  cfg.budget_moves_per_tick = 1;
+  core::LoadManager lm(eng, cfg);
+  const std::size_t alice = lm.add_client("alice");
+  const std::size_t bob = lm.add_client("bob");
+  lm.client_instances(alice, {hosts[0]}, hosts);
+  lm.client_instances(bob, {hosts[1]}, hosts);
+
+  // Both clients' instances sit on drowning hosts with idle ones free:
+  // each alone has an admissible move, but the tick budget is global.
+  hosts[0]->cpu().post(10.0);
+  hosts[1]->cpu().post(10.0);
+  lm.on_sample(sample_at(0.1, {10.0, 10.0, 0.0, 0.0}));
+  lm.on_sample(sample_at(0.2, {10.0, 10.0, 0.0, 0.0}));
+  ASSERT_EQ(lm.decisions().size(), 1u);
+  asu::Node* to_alice = target(lm, alice, 0);
+  asu::Node* to_bob = target(lm, bob, 0);
+  ASSERT_NE(to_alice == nullptr, to_bob == nullptr)
+      << "exactly one client may hold a plan after one gate opening";
+  const std::size_t planned = to_alice != nullptr ? alice : bob;
+  asu::Node* to = to_alice != nullptr ? to_alice : to_bob;
+  EXPECT_EQ(lm.decisions()[0].client, planned == alice ? "alice" : "bob");
+
+  // A labeled client's confirmation charges its own counter and the
+  // aggregate, and nobody else's.
+  lm.migration_performed(planned, 0, *to);
+  const std::string self = planned == alice ? "alice" : "bob";
+  const std::string other = planned == alice ? "bob" : "alice";
+  EXPECT_EQ(counter_value(eng, "lm." + self + ".migrations"), 1u);
+  EXPECT_EQ(counter_value(eng, "lm." + other + ".migrations"), 0u);
+  EXPECT_EQ(counter_value(eng, "lm.migrations"), 1u);
+  EXPECT_EQ(lm.migrations(), 1u);
+
+  // An unlabeled client charges only the aggregate counter.
+  const std::size_t anon = lm.add_client("");
+  lm.client_instances(anon, {hosts[2]}, hosts);
+  lm.migration_performed(anon, 0, *hosts[3]);
+  EXPECT_EQ(lm.migrations(), 2u);
+  EXPECT_EQ(counter_value(eng, "lm." + self + ".migrations"), 1u);
+  EXPECT_EQ(counter_value(eng, "lm." + other + ".migrations"), 0u);
+  EXPECT_EQ(eng.metrics().find_counter("lm..migrations"), nullptr);
+}
+
+TEST(LoadManager, RemovedClientLosesPlanAndGetsNoLaterActions) {
+  sim::Engine eng;
+  asu::MachineParams mp;
+  mp.num_hosts = 4;
+  mp.num_asus = 1;
+  asu::Cluster cluster(eng, mp);
+  std::vector<asu::Node*> hosts;
+  for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
+
+  // Migration: bob's host is the hotter one, so bob is planned first.
+  auto cfg = manage_cfg();
+  cfg.router_swap = false;
+  core::LoadManager lm(eng, cfg);
+  const std::size_t alice = lm.add_client("alice");
+  const std::size_t bob = lm.add_client("bob");
+  lm.client_instances(alice, {hosts[0]}, hosts);
+  lm.client_instances(bob, {hosts[1]}, hosts);
+  hosts[0]->cpu().post(10.0);
+  hosts[1]->cpu().post(20.0);
+  lm.on_sample(sample_at(0.1, {10.0, 20.0, 0.0, 0.0}));
+  lm.on_sample(sample_at(0.2, {10.0, 20.0, 0.0, 0.0}));
+  ASSERT_EQ(lm.decisions().size(), 1u);
+  EXPECT_EQ(lm.decisions()[0].client, "bob");
+  ASSERT_NE(target(lm, bob, 0), nullptr);
+
+  lm.remove_client(bob);
+  EXPECT_EQ(target(lm, bob, 0), nullptr);
+  // The manager keeps arbitrating for alice once the cooldown lapses,
+  // but bob's still-overloaded instance never gets another plan.
+  for (int i = 0; i < 8; ++i) {
+    lm.on_sample(sample_at(0.3 + 0.1 * i, {10.0, 20.0, 0.0, 0.0}));
+    EXPECT_EQ(target(lm, bob, 0), nullptr);
+  }
+  ASSERT_EQ(lm.decisions().size(), 2u);
+  EXPECT_EQ(lm.decisions()[1].client, "alice");
+  EXPECT_NE(target(lm, alice, 0), nullptr);
+
+  // Router swaps: a detached client's router stays on its baseline while
+  // a live client's router promotes on the same sustained imbalance.
+  auto swap_cfg = manage_cfg();
+  swap_cfg.migration = false;
+  core::LoadManager swapper(eng, swap_cfg);
+  core::SwitchableRouter ra(std::make_unique<core::StaticPartitionRouter>(),
+                            std::make_unique<core::RoundRobinRouter>());
+  core::SwitchableRouter rb(std::make_unique<core::StaticPartitionRouter>(),
+                            std::make_unique<core::RoundRobinRouter>());
+  const std::size_t live = swapper.add_client("carol");
+  const std::size_t gone = swapper.add_client("dave");
+  swapper.client_router(live, &ra);
+  swapper.client_router(gone, &rb);
+  swapper.remove_client(gone);
+  for (int i = 0; i < 6; ++i) {
+    swapper.on_sample(sample_at(0.1 * (i + 1), {1.0, 0.0}));
+  }
+  EXPECT_TRUE(ra.dynamic_active());
+  EXPECT_FALSE(rb.dynamic_active());
+  EXPECT_EQ(swapper.router_switches(), 1u);
+  EXPECT_EQ(counter_value(eng, "lm.dave.router_switches"), 0u);
 }
 
 sim::Task<> pressure_work(asu::Cluster& cl) {

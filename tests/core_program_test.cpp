@@ -286,69 +286,4 @@ TEST(Program, AsuPlacementScalesWithUnits) {
   EXPECT_LT(t16, t4 * 0.5);
 }
 
-TEST(Migration, OverloadedHostShedsFunctorToAsu) {
-  // A functor starts on a host that is also saturated by foreign work;
-  // a backlog-threshold policy migrates it to an idle ASU mid-run. The
-  // migrated run must finish earlier and still deliver every record.
-  auto run = [](bool allow_migration) {
-    Rig rig(2, 4);
-    // host0 is busy with 50ms of competing work.
-    rig.cluster->host(0).cpu().post(0.05);
-    core::Program prog(*rig.cluster);
-    prog.set_source("gen", rig.all_asus(), counting_source(20, 256));
-    core::ProgramStageSpec spec;
-    spec.name = "work";
-    spec.make = [](unsigned) {
-      return std::make_unique<core::MapFunctor>(
-          [](const lmas::em::KeyRecord& r) { return r; },
-          core::FunctorCost{100e-9, 0});
-    };
-    spec.placement = {&rig.cluster->host(0)};
-    if (allow_migration) {
-      asu::Node* fallback = &rig.cluster->host(1);
-      spec.migrate = [fallback](unsigned, asu::Node& current) -> asu::Node* {
-        // Move when the current node has >5ms of queued foreign work.
-        return current.cpu().backlog() > 0.005 ? fallback : nullptr;
-      };
-    }
-    prog.add_stage(std::move(spec));
-    prog.add_stage({.name = "sink",
-                    .make = [](unsigned) {
-                      return std::make_unique<core::MapFunctor>(
-                          [](const lmas::em::KeyRecord& r) { return r; },
-                          core::FunctorCost{1e-9, 0});
-                    },
-                    .placement = {&rig.cluster->host(1)}});
-    return prog.run();
-  };
-
-  const auto pinned = run(false);
-  const auto mobile = run(true);
-  std::size_t pinned_records = 0, mobile_records = 0;
-  for (const auto& p : pinned.sink_output) pinned_records += p.records.size();
-  for (const auto& p : mobile.sink_output) mobile_records += p.records.size();
-  EXPECT_EQ(pinned_records, 4u * 20 * 256);
-  EXPECT_EQ(mobile_records, pinned_records);
-  EXPECT_EQ(pinned.stages[1].migrations, 0u);
-  EXPECT_EQ(mobile.stages[1].migrations, 1u);  // moved once, then stayed
-  EXPECT_LT(mobile.makespan, pinned.makespan);
-}
-
-TEST(Migration, StablePolicyNeverMoves) {
-  Rig rig(1, 2);
-  core::Program prog(*rig.cluster);
-  prog.set_source("gen", rig.all_asus(), counting_source(5, 64));
-  core::ProgramStageSpec spec;
-  spec.name = "steady";
-  spec.make = [](unsigned) {
-    return std::make_unique<core::MapFunctor>(
-        [](const lmas::em::KeyRecord& r) { return r; }, tiny_cost());
-  };
-  spec.placement = rig.host0();
-  spec.migrate = [](unsigned, asu::Node& current) { return &current; };
-  prog.add_stage(std::move(spec));
-  auto stats = prog.run();
-  EXPECT_EQ(stats.stages[1].migrations, 0u);
-}
-
 }  // namespace

@@ -66,6 +66,29 @@ TEST(Tenancy, DsmSortConfigRejectsNonPositiveFairShare) {
                std::invalid_argument);
 }
 
+TEST(Tenancy, NonPositiveManagerPeriodThrowsInsteadOfRunningUnmanaged) {
+  // A zero-length sleep does not suspend, so a period-0 monitor would
+  // take all its samples at t=0 and the "managed" run would silently
+  // finish with no switches and no migrations. Both entry points that
+  // build a monitor must reject it.
+  core::DsmSortConfig dsm;
+  dsm.total_records = 1 << 10;
+  dsm.alpha = 4;
+  dsm.log2_alpha_beta = 8;
+  dsm.load_manager.mode = core::LoadManagerMode::Manage;
+  dsm.load_manager.period = 0.0;
+  EXPECT_THROW(core::run_dsm_sort(machine(2, 4), dsm), std::invalid_argument);
+
+  tenant::TenancyConfig cfg = small_config();
+  cfg.load_manager.mode = core::LoadManagerMode::Manage;
+  cfg.load_manager.period = 0.0;
+  EXPECT_THROW(tenant::run_tenancy(machine(2, 4), cfg),
+               std::invalid_argument);
+  cfg.load_manager.period = -0.01;
+  EXPECT_THROW(tenant::run_tenancy(machine(2, 4), cfg),
+               std::invalid_argument);
+}
+
 TEST(Tenancy, InvalidMixAndArrivalConfigsThrow) {
   tenant::TenancyConfig cfg = small_config();
   cfg.tenants[0].mix.push_back({.weight = 0.0});
