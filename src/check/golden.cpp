@@ -48,6 +48,22 @@ GoldenCase fig10_case(std::string name, core::RouterKind router) {
   return c;
 }
 
+/// The fig10 shape under online load management (router swap plus
+/// migration) and a small fault plan: host 0 slows down 3x while ASU 2
+/// crashes and recovers, all inside the ~11 ms static pass 1. The short
+/// sampling period lets the control loop act several times per run.
+GoldenCase fig10_lm_case(std::string name, core::LoadManagerMode mode) {
+  GoldenCase c = fig10_case(std::move(name), core::RouterKind::Static);
+  c.config.load_manager.mode = mode;
+  c.config.load_manager.period = 0.0005;
+  c.config.load_manager.promote_hysteresis = 1;
+  c.config.load_manager.migrate_hysteresis = 1;
+  c.config.faults.slowdown(/*on_asu=*/false, 0, 0.002, 0.004, 3.0);
+  c.config.faults.crash(/*on_asu=*/true, 2, 0.003, 0.002);
+  c.config.faults.normalize();
+  return c;
+}
+
 }  // namespace
 
 const std::vector<GoldenCase>& golden_cases() {
@@ -62,6 +78,10 @@ const std::vector<GoldenCase>& golden_cases() {
     cases.push_back(fig10_case("fig10-static", core::RouterKind::Static));
     cases.push_back(
         fig10_case("fig10-sr", core::RouterKind::SimpleRandomization));
+    cases.push_back(
+        fig10_lm_case("fig10-managed-faults", core::LoadManagerMode::Manage));
+    cases.push_back(fig10_lm_case("fig10-monitored-faults",
+                                  core::LoadManagerMode::Monitor));
     return cases;
   }();
   return kCases;
