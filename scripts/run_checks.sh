@@ -45,10 +45,13 @@ echo "== [5/8] fault + load-manager property suites under ASan/UBSan (reduced ca
 # per-node speeds), covering the rack/spine charging paths.
 # migration-economy drives the budgeted placer with concurrent pre-copy
 # transfers under crash schedules — background bulk transfers racing
-# instance migration is a fresh lifetime surface.
+# instance migration is a fresh lifetime surface. config-fuzz feeds
+# random, often invalid configs through both entry points; a missed
+# validation rule there is UB (an oversized shift, a division by zero)
+# that only the sanitizers report reliably.
 for suite in fault-conservation fault-routing lm-switch lm-migration \
              tenant-conservation tenant-arrival topology-conservation \
-             migration-economy; do
+             migration-economy config-fuzz; do
   UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=1" \
     "${SAN_BUILD}/tools/lmas_check" property --suite "${suite}" --cases 20
 done

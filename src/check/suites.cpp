@@ -4,12 +4,16 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "asu/network.hpp"
 #include "check/generators.hpp"
@@ -104,6 +108,17 @@ std::optional<std::string> prop_permutation(sim::Rng& rng, unsigned size) {
 
 // ---- packet order --------------------------------------------------
 
+/// One of `values`, uniformly.
+template <typename T, std::size_t N>
+T pick(sim::Rng& rng, const T (&values)[N]) {
+  return values[rng.below(N)];
+}
+
+/// The routers a PacketPlan is driven through.
+constexpr core::RouterKind kPlanRouters[] = {
+    core::RouterKind::Static, core::RouterKind::RoundRobin,
+    core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
+
 sim::Task<> plan_producer(core::StageOutput& out, asu::Node& from,
                           std::vector<core::Packet> pkts) {
   for (auto& p : pkts) {
@@ -112,90 +127,165 @@ sim::Task<> plan_producer(core::StageOutput& out, asu::Node& from,
   out.producer_done();
 }
 
-sim::Task<> plan_consumer(sim::Channel<core::Packet>& in,
+sim::Task<> plan_consumer(asu::Node& node, sim::Channel<core::Packet>& in,
                           std::vector<core::Packet>& got) {
   while (auto p = co_await in.recv()) {
+    // Pump-pause convention: accepted packets wait out a crash window.
+    while (!node.running()) co_await node.health_wait();
     got.push_back(std::move(*p));
   }
 }
 
-std::optional<std::string> prop_packet_order(sim::Rng& rng, unsigned size) {
-  PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
+using RouterFactory =
+    std::function<std::unique_ptr<core::RoutingPolicy>(sim::Engine&)>;
 
+RouterFactory plan_router(core::RouterKind kind, sim::Rng rng,
+                          unsigned subsets) {
+  return [=](sim::Engine&) {
+    return core::make_router(
+        {.kind = kind, .rng = rng, .total_subsets = subsets});
+  };
+}
+
+/// How a PacketPlan runs through one StageOutput: by default producers
+/// on the ASUs feed one consumer per target on the hosts.
+struct PlanSetup {
+  RouterFactory router;
+  const char* name = "prop.stage";
+  /// Consumers on the ASUs (the crashable tier) and producers on hosts.
+  bool consumers_on_asus = false;
+  /// Hosts beyond the consumers (legal migration targets).
+  unsigned spare_hosts = 0;
+  const fault::FaultPlan* faults = nullptr;
+  std::uint64_t fault_seed = 0;
+  /// Control process spawned last, given the stage and every host.
+  std::function<sim::Task<>(sim::Engine&, core::StageOutput&,
+                            std::vector<asu::Node*>)>
+      controller = nullptr;
+};
+
+struct PlanRun {
+  std::vector<std::vector<core::Packet>> got;  // per target
+  std::size_t packets = 0;
+  std::size_t records = 0;
+  std::uint64_t digest = 0;
+  std::size_t unfinished = 0;
+  double makespan = 0;
+};
+
+PlanRun run_plan(const PacketPlan& plan, const PlanSetup& setup) {
+  const bool on_asus = setup.consumers_on_asus;
   asu::MachineParams mp;
-  mp.num_hosts = plan.targets;   // consumers
-  mp.num_asus = plan.producers;  // producers
+  mp.num_hosts = (on_asus ? plan.producers : plan.targets) + setup.spare_hosts;
+  mp.num_asus = on_asus ? plan.targets : plan.producers;
   sim::Engine eng;
   asu::Cluster cluster(eng, mp);
+  const asu::NodeKind consumer = on_asus ? asu::NodeKind::Asu
+                                         : asu::NodeKind::Host;
+  const asu::NodeKind producer = on_asus ? asu::NodeKind::Host
+                                         : asu::NodeKind::Asu;
 
   core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
   std::vector<asu::Node*> nodes;
   for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
+    nodes.push_back(&cluster.node(consumer, t));
   }
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = rng.split(), .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.stage"});
+  core::StageOutput out(eng, cluster.network(),
+                        core::StageSpec{.record_bytes = mp.record_bytes,
+                                        .endpoints = inboxes.endpoints(nodes),
+                                        .router = setup.router(eng),
+                                        .producers = plan.producers,
+                                        .window_per_producer = 4,
+                                        .name = setup.name});
+  std::unique_ptr<fault::FaultInjector> inj;
+  if (setup.faults != nullptr && !setup.faults->empty()) {
+    out.set_fault_retry(setup.faults->retry_timeout,
+                        setup.faults->max_retries);
+    inj = std::make_unique<fault::FaultInjector>(
+        cluster, *setup.faults,
+        sim::Rng(setup.fault_seed).stream(sim::stream_id("faults")));
+    eng.spawn(inj->run(), "fault-injector");
+  }
 
-  std::size_t packets_sent = 0;
+  PlanRun res;
+  res.got.resize(plan.targets);
   for (unsigned p = 0; p < plan.producers; ++p) {
-    packets_sent += plan.per_producer[p].size();
-    eng.spawn(plan_producer(out, cluster.asu(p),
-                            std::move(plan.per_producer[p])));
+    eng.spawn(plan_producer(out, cluster.node(producer, p),
+                            plan.per_producer[p]));
   }
-  std::vector<std::vector<core::Packet>> got(plan.targets);
   for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), got[t]));
+    eng.spawn(plan_consumer(*nodes[t], inboxes.inbox(t), res.got[t]));
+  }
+  if (setup.controller) {
+    std::vector<asu::Node*> hosts;
+    for (unsigned h = 0; h < mp.num_hosts; ++h) {
+      hosts.push_back(&cluster.host(h));
+    }
+    eng.spawn(setup.controller(eng, out, std::move(hosts)));
   }
   eng.run();
+  for (const auto& g : res.got) {
+    res.packets += g.size();
+    for (const auto& p : g) res.records += p.records.size();
+  }
+  res.digest = eng.digest();
+  res.unfinished = eng.unfinished_tasks();
+  res.makespan = eng.now();
+  return res;
+}
 
-  std::size_t packets_got = 0, records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    // Per (producer, subset), the seqs seen at one instance must be a
-    // strictly increasing subsequence of the producer's emission order.
+/// The set contract as delivered: records stay together and in order
+/// within every packet and, when `ordered`, each (producer, subset)
+/// stream arrives seq-increasing at every instance.
+std::optional<std::string> check_delivery(const PlanRun& run, bool ordered) {
+  for (std::size_t t = 0; t < run.got.size(); ++t) {
     std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last;
-    for (const auto& p : got[t]) {
-      ++packets_got;
-      records_got += p.records.size();
-      const auto key = std::make_pair(p.run_id, p.subset);
-      auto [it, fresh] = last.try_emplace(key, p.seq);
-      if (!fresh) {
+    for (const auto& p : run.got[t]) {
+      auto [it, fresh] = last.try_emplace({p.run_id, p.subset}, p.seq);
+      if (ordered && !fresh) {
         if (p.seq <= it->second) {
-          return fmt("instance %u saw producer %u subset %u seq %u after "
-                     "seq %u (router=%s)",
-                     t, p.run_id, p.subset, p.seq, it->second,
-                     core::router_kind_name(kind));
+          return fmt("instance %zu saw producer %u subset %u seq %u after "
+                     "seq %u",
+                     t, p.run_id, p.subset, p.seq, it->second);
         }
         it->second = p.seq;
       }
-      // Records stay together and in order within the packet.
       for (std::size_t r = 0; r < p.records.size(); ++r) {
         if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u", t);
+          return fmt("packet records reordered at instance %zu", t);
         }
       }
     }
   }
-  if (packets_got != packets_sent || records_got != plan.total_records) {
-    return fmt("lost traffic: %zu/%zu packets, %zu/%zu records "
-               "(router=%s)",
-               packets_got, packets_sent, records_got, plan.total_records,
-               core::router_kind_name(kind));
+  return std::nullopt;
+}
+
+/// Every emitted packet and record arrived.
+std::optional<std::string> check_conserved(const PlanRun& run,
+                                           const PacketPlan& plan) {
+  std::size_t sent = 0;
+  for (const auto& pp : plan.per_producer) sent += pp.size();
+  if (run.packets == sent && run.records == plan.total_records) {
+    return std::nullopt;
   }
-  if (eng.unfinished_tasks() != 0) {
-    return fmt("%zu tasks still blocked after run", eng.unfinished_tasks());
+  return fmt("lost traffic: %zu/%zu packets, %zu/%zu records", run.packets,
+             sent, run.records, plan.total_records);
+}
+
+std::optional<std::string> prop_packet_order(sim::Rng& rng, unsigned size) {
+  const PacketPlan plan = gen_packet_plan(rng, size);
+  const core::RouterKind kind = pick(rng, kPlanRouters);
+  const PlanRun run =
+      run_plan(plan, {.router = plan_router(kind, rng.split(), plan.subsets)});
+  const std::string ctx =
+      fmt(" (router=%s)", core::router_kind_name(kind));
+  if (run.unfinished != 0) {
+    return fmt("%zu tasks still blocked after run", run.unfinished) + ctx;
   }
+  // Per (producer, subset), the seqs seen at one instance must be a
+  // strictly increasing subsequence of the producer's emission order.
+  if (auto err = check_delivery(run, /*ordered=*/true)) return *err + ctx;
+  if (auto err = check_conserved(run, plan)) return *err + ctx;
   return std::nullopt;
 }
 
@@ -433,128 +523,34 @@ std::optional<std::string> prop_fault_conservation(sim::Rng& rng,
 
 // ---- fault routing -------------------------------------------------
 
-sim::Task<> fault_consumer(asu::Node& node, sim::Channel<core::Packet>& in,
-                           std::vector<core::Packet>& got) {
-  while (auto p = co_await in.recv()) {
-    // Pump-pause convention: accepted packets wait out a crash window.
-    while (!node.running()) co_await node.health_wait();
-    got.push_back(std::move(*p));
-  }
-}
-
-struct RoutedRun {
-  std::size_t packets = 0;
-  std::size_t records = 0;
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-  double makespan = 0;
-};
-
-/// Drive a PacketPlan through one StageOutput with consumers on ASUs (the
-/// crashable tier) under `faults`; empty plan = fault-free baseline.
-RoutedRun run_routed_plan(const PacketPlan& plan, core::RouterKind kind,
-                          sim::Rng router_rng, std::uint64_t fault_seed,
-                          const fault::FaultPlan& faults) {
-  asu::MachineParams mp;
-  mp.num_hosts = plan.producers;
-  mp.num_asus = plan.targets;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.asu(t));
-  }
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = router_rng, .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.fault_stage"});
-  std::unique_ptr<fault::FaultInjector> inj;
-  if (!faults.empty()) {
-    out.set_fault_retry(faults.retry_timeout, faults.max_retries);
-    inj = std::make_unique<fault::FaultInjector>(
-        cluster, faults,
-        sim::Rng(fault_seed).stream(sim::stream_id("faults")));
-    eng.spawn(inj->run(), "fault-injector");
-  }
-
-  RoutedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.host(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(fault_consumer(cluster.asu(t), inboxes.inbox(t), res.got[t]));
-  }
-  eng.run();
-  for (const auto& g : res.got) {
-    res.packets += g.size();
-    for (const auto& p : g) res.records += p.records.size();
-  }
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  res.makespan = eng.now();
-  return res;
-}
-
 std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
   PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
-  const sim::Rng router_rng = rng.split();
-  const std::uint64_t fault_seed = rng.next();
+  const core::RouterKind kind = pick(rng, kPlanRouters);
+  PlanSetup setup{.router = plan_router(kind, rng.split(), plan.subsets),
+                  .name = "prop.fault_stage",
+                  .consumers_on_asus = true,
+                  .fault_seed = rng.next()};
 
-  std::size_t packets_sent = 0;
-  for (const auto& pp : plan.per_producer) packets_sent += pp.size();
-
-  asu::MachineParams shape;
-  shape.num_hosts = plan.producers;
-  shape.num_asus = plan.targets;
-
-  const RoutedRun base =
-      run_routed_plan(plan, kind, router_rng, fault_seed, {});
+  const PlanRun base = run_plan(plan, setup);
   if (base.unfinished != 0) {
     return fmt("baseline left %zu tasks blocked", base.unfinished);
   }
+  asu::MachineParams shape;
+  shape.num_hosts = plan.producers;
+  shape.num_asus = plan.targets;
   const fault::FaultPlan faults =
       gen_fault_plan(rng, shape, base.makespan, size);
+  setup.faults = &faults;
 
-  const RoutedRun faulted =
-      run_routed_plan(plan, kind, router_rng, fault_seed, faults);
+  const PlanRun faulted = run_plan(plan, setup);
+  const std::string ctx = fmt(" under faults (%zu events, router=%s)",
+                              faults.size(), core::router_kind_name(kind));
   if (faulted.unfinished != 0) {
-    return fmt("%zu tasks still blocked under faults (%zu events, "
-               "router=%s)",
-               faulted.unfinished, faults.size(),
-               core::router_kind_name(kind));
+    return fmt("%zu tasks still blocked", faulted.unfinished) + ctx;
   }
-  if (faulted.packets != packets_sent ||
-      faulted.records != plan.total_records) {
-    return fmt("lost traffic under faults: %zu/%zu packets, %zu/%zu "
-               "records (%zu events, router=%s)",
-               faulted.packets, packets_sent, faulted.records,
-               plan.total_records, faults.size(),
-               core::router_kind_name(kind));
-  }
-  // Records stay together and in order within every delivered packet.
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    for (const auto& p : faulted.got[t]) {
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under faults",
-                     t);
-        }
-      }
-    }
+  if (auto err = check_conserved(faulted, plan)) return *err + ctx;
+  if (auto err = check_delivery(faulted, /*ordered=*/false)) {
+    return *err + ctx;
   }
   // Router balance: when the plan never shrinks the target set (no
   // crashes), SR's floor/ceil bound must survive slowdowns and link
@@ -587,9 +583,7 @@ std::optional<std::string> prop_fault_routing(sim::Rng& rng, unsigned size) {
     }
   }
   // Same plan, same seeds: the faulted run replays bit-identically.
-  const RoutedRun again =
-      run_routed_plan(plan, kind, router_rng, fault_seed, faults);
-  if (again.digest != faulted.digest) {
+  if (run_plan(plan, setup).digest != faulted.digest) {
     return fmt("same fault plan, different digests (router=%s)",
                core::router_kind_name(kind));
   }
@@ -612,69 +606,10 @@ sim::Task<> switch_controller(sim::Engine& eng, core::SwitchableRouter* sw,
   }
 }
 
-struct SwitchedRun {
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-};
-
-SwitchedRun run_switched_plan(const PacketPlan& plan,
-                              core::RouterKind baseline,
-                              core::RouterKind dynamic,
-                              sim::Rng base_rng, sim::Rng dyn_rng,
-                              const std::vector<double>& toggles) {
-  asu::MachineParams mp;
-  mp.num_hosts = plan.targets;
-  mp.num_asus = plan.producers;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
-  }
-  // The production composition: metrics wrapper outside, hot-swap
-  // decorator inside, concrete policies innermost.
-  auto sw = std::make_unique<core::SwitchableRouter>(
-      core::make_router(
-          {.kind = baseline, .rng = base_rng, .total_subsets = plan.subsets}),
-      core::make_router(
-          {.kind = dynamic, .rng = dyn_rng, .total_subsets = plan.subsets}));
-  core::SwitchableRouter* sw_raw = sw.get();
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = std::make_unique<core::InstrumentedRouter>(
-              std::move(sw), eng, "lmswitch"),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.lmswitch"});
-
-  SwitchedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.asu(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), res.got[t]));
-  }
-  eng.spawn(switch_controller(eng, sw_raw, toggles));
-  eng.run();
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  return res;
-}
-
 std::optional<std::string> prop_lm_switch(sim::Rng& rng, unsigned size) {
   PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind baseline = kRouters[rng.below(std::size(kRouters))];
-  const core::RouterKind dynamic = kRouters[rng.below(std::size(kRouters))];
+  const core::RouterKind baseline = pick(rng, kPlanRouters);
+  const core::RouterKind dynamic = pick(rng, kPlanRouters);
   const sim::Rng base_rng = rng.split();
   const sim::Rng dyn_rng = rng.split();
   // Promote/demote at random instants spanning microseconds to
@@ -683,57 +618,40 @@ std::optional<std::string> prop_lm_switch(sim::Rng& rng, unsigned size) {
   std::vector<double> toggles(1 + rng.below(8));
   for (double& d : toggles) d = double(1 + rng.below(1000)) * 1e-5;
 
-  std::size_t packets_sent = 0;
-  for (const auto& pp : plan.per_producer) packets_sent += pp.size();
+  // The production composition: metrics wrapper outside, hot-swap
+  // decorator inside, concrete policies innermost.
+  core::SwitchableRouter* sw = nullptr;
+  const PlanSetup setup{
+      .router = [&](sim::Engine& eng) -> std::unique_ptr<core::RoutingPolicy> {
+        auto inner = std::make_unique<core::SwitchableRouter>(
+            plan_router(baseline, base_rng, plan.subsets)(eng),
+            plan_router(dynamic, dyn_rng, plan.subsets)(eng));
+        sw = inner.get();
+        return std::make_unique<core::InstrumentedRouter>(std::move(inner),
+                                                          eng, "lmswitch");
+      },
+      .name = "prop.lmswitch",
+      .controller = [&](sim::Engine& eng, core::StageOutput&,
+                        std::vector<asu::Node*>) {
+        return switch_controller(eng, sw, toggles);
+      }};
 
-  const SwitchedRun run =
-      run_switched_plan(plan, baseline, dynamic, base_rng, dyn_rng, toggles);
+  const PlanRun run = run_plan(plan, setup);
+  const std::string ctx =
+      fmt(" across router swaps (%s -> %s, %zu toggles)",
+          core::router_kind_name(baseline), core::router_kind_name(dynamic),
+          toggles.size());
   if (run.unfinished != 0) {
-    return fmt("%zu tasks still blocked after hot-swapped run",
-               run.unfinished);
+    return fmt("%zu tasks still blocked", run.unfinished) + ctx;
   }
   // Hot-swapping the policy mid-run must not weaken the set contract at
   // all: every per-(producer, subset) stream still arrives seq-ordered at
   // every instance, packets stay intact, nothing is lost.
-  std::size_t packets_got = 0, records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last;
-    for (const auto& p : run.got[t]) {
-      ++packets_got;
-      records_got += p.records.size();
-      const auto key = std::make_pair(p.run_id, p.subset);
-      auto [it, fresh] = last.try_emplace(key, p.seq);
-      if (!fresh) {
-        if (p.seq <= it->second) {
-          return fmt("instance %u saw producer %u subset %u seq %u after "
-                     "seq %u across a router swap (%s -> %s)",
-                     t, p.run_id, p.subset, p.seq, it->second,
-                     core::router_kind_name(baseline),
-                     core::router_kind_name(dynamic));
-        }
-        it->second = p.seq;
-      }
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under swap",
-                     t);
-        }
-      }
-    }
-  }
-  if (packets_got != packets_sent || records_got != plan.total_records) {
-    return fmt("lost traffic across router swaps: %zu/%zu packets, "
-               "%zu/%zu records (%zu toggles)",
-               packets_got, packets_sent, records_got, plan.total_records,
-               toggles.size());
-  }
+  if (auto err = check_delivery(run, /*ordered=*/true)) return *err + ctx;
+  if (auto err = check_conserved(run, plan)) return *err + ctx;
   // Same plan + same toggle schedule replays bit-identically.
-  const SwitchedRun again =
-      run_switched_plan(plan, baseline, dynamic, base_rng, dyn_rng, toggles);
-  if (again.digest != run.digest) {
-    return fmt("same toggle schedule, different digests (%s -> %s)",
-               core::router_kind_name(baseline),
-               core::router_kind_name(dynamic));
+  if (run_plan(plan, setup).digest != run.digest) {
+    return "same toggle schedule, different digests" + ctx;
   }
   return std::nullopt;
 }
@@ -755,62 +673,9 @@ sim::Task<> migration_controller(sim::Engine& eng, core::StageOutput& out,
   }
 }
 
-struct MigratedRun {
-  std::vector<std::vector<core::Packet>> got;  // per target
-  std::uint64_t digest = 0;
-  std::size_t unfinished = 0;
-};
-
-MigratedRun run_migrated_plan(const PacketPlan& plan, core::RouterKind kind,
-                              sim::Rng router_rng,
-                              const std::vector<MigrationMove>& moves) {
-  asu::MachineParams mp;
-  // One spare host beyond the consumers: a legal migration target that
-  // never hosted an instance, so re-pins also exercise "fresh" nodes.
-  mp.num_hosts = plan.targets + 1;
-  mp.num_asus = plan.producers;
-  sim::Engine eng;
-  asu::Cluster cluster(eng, mp);
-
-  core::StageInboxes inboxes(eng, plan.targets, /*capacity_packets=*/4);
-  std::vector<asu::Node*> nodes;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    nodes.push_back(&cluster.host(t));
-  }
-  std::vector<asu::Node*> hosts = nodes;
-  hosts.push_back(&cluster.host(plan.targets));
-  core::StageOutput out(
-      eng, cluster.network(),
-      core::StageSpec{
-          .record_bytes = mp.record_bytes,
-          .endpoints = inboxes.endpoints(nodes),
-          .router = core::make_router(
-              {.kind = kind, .rng = router_rng, .total_subsets = plan.subsets}),
-          .producers = plan.producers,
-          .window_per_producer = 4,
-          .name = "prop.lmmigrate"});
-
-  MigratedRun res;
-  res.got.resize(plan.targets);
-  for (unsigned p = 0; p < plan.producers; ++p) {
-    eng.spawn(plan_producer(out, cluster.asu(p), plan.per_producer[p]));
-  }
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    eng.spawn(plan_consumer(inboxes.inbox(t), res.got[t]));
-  }
-  eng.spawn(migration_controller(eng, out, hosts, moves));
-  eng.run();
-  res.digest = eng.digest();
-  res.unfinished = eng.unfinished_tasks();
-  return res;
-}
-
 std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
   PacketPlan plan = gen_packet_plan(rng, size);
-  constexpr core::RouterKind kRouters[] = {
-      core::RouterKind::Static, core::RouterKind::RoundRobin,
-      core::RouterKind::SimpleRandomization, core::RouterKind::LeastLoaded};
-  const core::RouterKind kind = kRouters[rng.below(std::size(kRouters))];
+  const core::RouterKind kind = pick(rng, kPlanRouters);
   const sim::Rng router_rng = rng.split();
 
   std::vector<MigrationMove> moves(1 + rng.below(8));
@@ -828,48 +693,43 @@ std::optional<std::string> prop_lm_migration(sim::Rng& rng, unsigned size) {
   }
   std::sort(want.begin(), want.end());
 
-  const MigratedRun run = run_migrated_plan(plan, kind, router_rng, moves);
+  // One spare host beyond the consumers: a legal migration target that
+  // never hosted an instance, so re-pins also exercise "fresh" nodes.
+  const PlanSetup setup{
+      .router = plan_router(kind, router_rng, plan.subsets),
+      .name = "prop.lmmigrate",
+      .spare_hosts = 1,
+      .controller = [&](sim::Engine& eng, core::StageOutput& out,
+                        std::vector<asu::Node*> hosts) {
+        return migration_controller(eng, out, std::move(hosts), moves);
+      }};
+  const PlanRun run = run_plan(plan, setup);
+  const std::string ctx = fmt(" under migration (%zu moves, router=%s)",
+                              moves.size(), core::router_kind_name(kind));
   if (run.unfinished != 0) {
-    return fmt("%zu tasks still blocked after migrated run",
-               run.unfinished);
+    return fmt("%zu tasks still blocked", run.unfinished) + ctx;
   }
   // Migration deliberately weakens the ordering half of the set contract:
   // re-pinning an endpoint changes the delivery path, so a later packet
   // can overtake an earlier one still in flight to the old location. What
   // must survive is conservation — the delivered multiset equals the
   // emitted multiset — and intra-packet record integrity.
+  if (auto err = check_delivery(run, /*ordered=*/false)) return *err + ctx;
   std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> got;
-  std::size_t records_got = 0;
-  for (unsigned t = 0; t < plan.targets; ++t) {
-    for (const auto& p : run.got[t]) {
-      got.emplace_back(p.run_id, p.subset, p.seq);
-      records_got += p.records.size();
-      for (std::size_t r = 0; r < p.records.size(); ++r) {
-        if (p.records[r].id != std::uint32_t(r)) {
-          return fmt("packet records reordered at instance %u under "
-                     "migration (router=%s)",
-                     t, core::router_kind_name(kind));
-        }
-      }
-    }
+  for (const auto& g : run.got) {
+    for (const auto& p : g) got.emplace_back(p.run_id, p.subset, p.seq);
   }
   std::sort(got.begin(), got.end());
   if (got != want) {
-    return fmt("delivered packet multiset differs from emitted under "
-               "migration: %zu/%zu packets (%zu moves, router=%s)",
-               got.size(), want.size(), moves.size(),
-               core::router_kind_name(kind));
+    return fmt("delivered packet multiset differs from emitted: %zu/%zu "
+               "packets",
+               got.size(), want.size()) +
+           ctx;
   }
-  if (records_got != plan.total_records) {
-    return fmt("lost records under migration: %zu/%zu (router=%s)",
-               records_got, plan.total_records,
-               core::router_kind_name(kind));
-  }
+  if (auto err = check_conserved(run, plan)) return *err + ctx;
   // Same plan + same move schedule replays bit-identically.
-  const MigratedRun again = run_migrated_plan(plan, kind, router_rng, moves);
-  if (again.digest != run.digest) {
-    return fmt("same migration schedule, different digests (router=%s)",
-               core::router_kind_name(kind));
+  if (run_plan(plan, setup).digest != run.digest) {
+    return "same migration schedule, different digests" + ctx;
   }
   return std::nullopt;
 }
@@ -1486,141 +1346,226 @@ std::optional<std::string> prop_migration_economy(sim::Rng& rng,
   return std::nullopt;
 }
 
-std::optional<Failure> run_suite(const char* name, std::size_t cases,
-                                 std::uint64_t seed, unsigned min_size,
-                                 unsigned max_size, const Property& prop) {
-  Options opt;
-  opt.suite = name;
-  opt.cases = cases;
-  opt.seed = seed;
-  opt.min_size = min_size;
-  opt.max_size = max_size;
-  return forall(opt, prop);
+// ---- config-fuzz -----------------------------------------------------
+
+/// A valid control loop spanning Off/Monitor/Manage, with zero budgets,
+/// hysteresis and dwell, tiny sample budgets and degenerate factors.
+core::LoadManagerConfig fuzz_load_manager(sim::Rng& rng) {
+  core::LoadManagerConfig lm;
+  lm.mode = pick(rng, {core::LoadManagerMode::Off,
+                       core::LoadManagerMode::Monitor,
+                       core::LoadManagerMode::Manage});
+  lm.period = pick(rng, {1e-4, 5e-4, 0.05});
+  lm.max_samples = pick(rng, {std::size_t(0), std::size_t(1), lm.max_samples});
+  lm.router_swap = rng.below(2) == 0;
+  lm.migration = rng.below(2) == 0;
+  lm.promote_hysteresis = rng.below(3);
+  lm.migrate_hysteresis = rng.below(3);
+  lm.migrate_factor = pick(rng, {0.0, 0.5, 2.0});
+  lm.cooldown_samples = rng.below(3);
+  lm.dwell_samples = rng.below(3);
+  lm.budget_moves_per_tick = rng.below(3);
+  lm.budget_bytes_per_tick = pick(rng, {std::size_t(0), std::size_t(4096),
+                                        lm.budget_bytes_per_tick});
+  return lm;
+}
+
+/// Break the machine or the control loop for draws 0-3 of `k`.
+void break_shared(sim::Rng& rng, std::size_t k, asu::MachineParams& mp,
+                  core::LoadManagerConfig& lm) {
+  switch (k) {
+    case 0: mp.num_hosts = 0; break;
+    case 1: mp.num_asus = 0; break;
+    case 2: mp.record_bytes = 0; break;
+    case 3:
+      lm.mode = core::LoadManagerMode::Manage;
+      lm.period = pick(rng, {0.0, -0.01, std::nan("")});
+      break;
+    default: break;
+  }
+}
+
+/// The rules the entry points must enforce, restated independently of
+/// the validate() code under test.
+bool shared_invalid(const asu::MachineParams& mp,
+                    const core::LoadManagerConfig& lm) {
+  return mp.num_hosts == 0 || mp.num_asus == 0 || mp.record_bytes == 0 ||
+         (lm.mode != core::LoadManagerMode::Off && !(lm.period > 0));
+}
+
+/// Run one entry point: it must throw std::invalid_argument exactly when
+/// the config is `invalid`; otherwise `body`'s own checks decide.
+template <typename Body>
+std::optional<std::string> at_boundary(bool invalid, const std::string& what,
+                                       Body body) {
+  std::optional<std::string> err;
+  try {
+    err = body();
+  } catch (const std::invalid_argument& e) {
+    if (invalid) return std::nullopt;
+    err = std::string("valid config rejected: ") + e.what();
+  } catch (const std::exception& e) {
+    err = std::string("run failed: ") + e.what();
+  }
+  if (!err && invalid) err = "invalid config accepted";
+  if (err) *err += " [" + what + "]";
+  return err;
+}
+
+/// DSM-Sort at boundary values (empty and one-record inputs, alpha 3,
+/// log2_alpha_beta 0 and 63, one-record packets, fan-in caps), with
+/// telemetry, a fuzzed control loop and sometimes faults; half the cases
+/// break one field.
+std::optional<std::string> fuzz_dsm_case(sim::Rng& rng, unsigned size) {
+  asu::MachineParams mp = gen_machine(rng, size);
+  core::DsmSortConfig cfg = gen_dsm_config(rng, size);
+  cfg.total_records =
+      pick(rng, {std::size_t(0), std::size_t(1), cfg.total_records});
+  cfg.alpha = pick(rng, {3u, cfg.alpha});
+  cfg.log2_alpha_beta = pick(rng, {0u, 63u, cfg.log2_alpha_beta});
+  cfg.packet_records =
+      pick(rng, {std::size_t(0), std::size_t(1), std::size_t(7)});
+  cfg.gamma1 = unsigned(rng.below(4));
+  cfg.gamma2_max = unsigned(rng.below(4));
+  cfg.telemetry.histograms = rng.below(2) == 0;
+  cfg.telemetry.sampler = rng.below(2) == 0;
+  cfg.load_manager = fuzz_load_manager(rng);
+  if (rng.below(4) == 0) cfg.faults = gen_fault_plan(rng, mp, 0.01, size);
+  if (rng.below(2) == 0) {
+    const std::size_t k = rng.below(7);
+    break_shared(rng, k, mp, cfg.load_manager);
+    if (k == 4) cfg.alpha = 0;
+    if (k == 5) cfg.log2_alpha_beta = pick(rng, {64u, 70u});
+    if (k == 6) cfg.fair_share_weight = pick(rng, {0.0, -1.0, std::nan("")});
+  }
+  const bool invalid = shared_invalid(mp, cfg.load_manager) ||
+                       cfg.alpha == 0 || cfg.log2_alpha_beta >= 64 ||
+                       !(cfg.fair_share_weight > 0);
+  const std::string what =
+      cfg_str(mp, cfg) +
+      fmt(" rec=%zu pkt=%zu w=%g lm=%d period=%g faults=%zu",
+          mp.record_bytes, cfg.packet_records, cfg.fair_share_weight,
+          int(cfg.load_manager.mode), cfg.load_manager.period,
+          cfg.faults.size());
+  return at_boundary(invalid, what, [&]() -> std::optional<std::string> {
+    const core::DsmSortReport rep = run_dsm_sort(mp, cfg);
+    if (rep.ok() && rep.records_in == cfg.total_records &&
+        rep.records_stored == rep.records_in &&
+        (!cfg.run_merge_pass || rep.records_final == rep.records_in)) {
+      return std::nullopt;
+    }
+    return fmt("records not conserved: in=%zu stored=%zu final=%zu ok=%d",
+               rep.records_in, rep.records_stored, rep.records_final,
+               int(rep.ok()));
+  });
+}
+
+/// A small tenancy run (sometimes with no jobs), a fuzzed control loop
+/// and sometimes faults; half the cases break one field.
+std::optional<std::string> fuzz_tenancy_case(sim::Rng& rng, unsigned size) {
+  asu::MachineParams mp;
+  tenant::TenancyConfig cfg = gen_tenancy(rng, size, mp);
+  cfg.total_jobs = pick(rng, {std::size_t(0), cfg.total_jobs});
+  cfg.job_alpha = pick(rng, {1u, cfg.job_alpha});
+  cfg.job_log2_alpha_beta = pick(rng, {0u, cfg.job_log2_alpha_beta});
+  cfg.load_manager = fuzz_load_manager(rng);
+  if (rng.below(4) == 0) cfg.faults = gen_fault_plan(rng, mp, 0.05, size);
+  if (rng.below(2) == 0) {
+    const std::size_t k = rng.below(12);
+    tenant::TenantSpec& ts = cfg.tenants[rng.below(cfg.tenants.size())];
+    break_shared(rng, k, mp, cfg.load_manager);
+    if (k == 4) cfg.job_alpha = 0;
+    if (k == 5) cfg.job_log2_alpha_beta = 64;
+    if (k == 6) cfg.max_in_flight = 0;
+    if (k == 7) ts.fair_share_weight = pick(rng, {0.0, -1.0});
+    if (k == 8) ts.arrival_weight = 0;
+    if (k == 9) ts.mix.push_back({.weight = 0});
+    if (k == 10) ts.mix.push_back({.records = 0});
+    if (k == 11) cfg.offered_rate = 0;  // invalid only when jobs arrive
+  }
+  bool invalid = shared_invalid(mp, cfg.load_manager) ||
+                 cfg.max_in_flight == 0 || cfg.job_alpha == 0 ||
+                 cfg.job_log2_alpha_beta >= 64 ||
+                 (cfg.total_jobs > 0 && !(cfg.offered_rate > 0));
+  for (const auto& ts : cfg.tenants) {
+    invalid |= !(ts.fair_share_weight > 0) || !(ts.arrival_weight > 0);
+    for (const auto& m : ts.mix) invalid |= !(m.weight > 0) || m.records == 0;
+  }
+  const std::string what =
+      tenancy_str(mp, cfg) +
+      fmt(" rec=%zu alpha=%u K=2^%u period=%g faults=%zu", mp.record_bytes,
+          cfg.job_alpha, cfg.job_log2_alpha_beta, cfg.load_manager.period,
+          cfg.faults.size());
+  return at_boundary(invalid, what, [&]() -> std::optional<std::string> {
+    const tenant::TenancyReport rep = tenant::run_tenancy(mp, cfg);
+    if (!rep.ok() || rep.jobs_completed != cfg.total_jobs) {
+      return fmt("jobs lost: %zu of %zu completed", rep.jobs_completed,
+                 cfg.total_jobs);
+    }
+    for (const auto& t : rep.tenants) {
+      if (t.records_in != t.records_out) {
+        return fmt("tenant %s leaked records: in=%zu out=%zu",
+                   t.name.c_str(), t.records_in, t.records_out);
+      }
+    }
+    return std::nullopt;
+  });
+}
+
+std::optional<std::string> prop_config_fuzz(sim::Rng& rng, unsigned size) {
+  // A case still running after a minute of wall time is a hang: SIGALRM
+  // then ends the process, which fails the suite like a crash does.
+  alarm(60);
+  auto err = rng.below(2) == 0 ? fuzz_dsm_case(rng, size)
+                               : fuzz_tenancy_case(rng, size);
+  alarm(0);
+  return err;
 }
 
 }  // namespace
 
-std::optional<Failure> suite_permutation(std::size_t cases,
-                                         std::uint64_t seed) {
-  return run_suite("permutation", cases, seed, 1, 16, prop_permutation);
+std::optional<Failure> SuiteInfo::run(std::size_t cases,
+                                      std::uint64_t seed) const {
+  Options opt;
+  opt.suite = std::string(name);
+  opt.cases = cases;
+  opt.seed = seed;
+  opt.max_size = max_size;
+  return forall(opt, prop);
 }
 
-std::optional<Failure> suite_packet_order(std::size_t cases,
-                                          std::uint64_t seed) {
-  return run_suite("packet-order", cases, seed, 1, 8, prop_packet_order);
-}
-
-std::optional<Failure> suite_conservation(std::size_t cases,
-                                          std::uint64_t seed) {
-  return run_suite("conservation", cases, seed, 1, 12, prop_conservation);
-}
-
-std::optional<Failure> suite_sr_balance(std::size_t cases,
-                                        std::uint64_t seed) {
-  return run_suite("sr-balance", cases, seed, 1, 16, prop_sr_balance);
-}
-
-std::optional<Failure> suite_predictor(std::size_t cases,
-                                       std::uint64_t seed) {
-  return run_suite("predictor", cases, seed, 1, 8, prop_predictor);
-}
-
-std::optional<Failure> suite_digest(std::size_t cases, std::uint64_t seed) {
-  return run_suite("digest", cases, seed, 1, 6, prop_digest);
-}
-
-std::optional<Failure> suite_fault_conservation(std::size_t cases,
-                                                std::uint64_t seed) {
-  // Each case runs one baseline + two faulted DSM-Sorts; cap size to keep
-  // a 100-case suite interactive.
-  return run_suite("fault-conservation", cases, seed, 1, 8,
-                   prop_fault_conservation);
-}
-
-std::optional<Failure> suite_fault_routing(std::size_t cases,
-                                           std::uint64_t seed) {
-  return run_suite("fault-routing", cases, seed, 1, 8, prop_fault_routing);
-}
-
-std::optional<Failure> suite_lm_switch(std::size_t cases,
-                                       std::uint64_t seed) {
-  return run_suite("lm-switch", cases, seed, 1, 8, prop_lm_switch);
-}
-
-std::optional<Failure> suite_lm_migration(std::size_t cases,
-                                          std::uint64_t seed) {
-  return run_suite("lm-migration", cases, seed, 1, 8, prop_lm_migration);
-}
-
-std::optional<Failure> suite_histogram(std::size_t cases,
-                                       std::uint64_t seed) {
-  return run_suite("histogram", cases, seed, 1, 16, prop_histogram);
-}
-
-std::optional<Failure> suite_tenant_conservation(std::size_t cases,
-                                                 std::uint64_t seed) {
-  // Each case is a full multi-tenant serving run (several concurrent
-  // jobs); cap size like the other whole-sim suites.
-  return run_suite("tenant-conservation", cases, seed, 1, 8,
-                   prop_tenant_conservation);
-}
-
-std::optional<Failure> suite_tenant_arrival(std::size_t cases,
-                                            std::uint64_t seed) {
-  return run_suite("tenant-arrival", cases, seed, 1, 8,
-                   prop_tenant_arrival);
-}
-
-std::optional<Failure> suite_sharded_digest(std::size_t cases,
-                                            std::uint64_t seed) {
-  // Each case runs the same random model three times (1, 2 and 4
-  // shards); sized like the other whole-sim suites.
-  return run_suite("sharded-digest", cases, seed, 1, 8,
-                   prop_sharded_digest);
-}
-
-std::optional<Failure> suite_topology_conservation(std::size_t cases,
-                                                   std::uint64_t seed) {
-  // Each case runs one DSM-Sort twice (hierarchical + flat); sized like
-  // the other whole-sim suites.
-  return run_suite("topology-conservation", cases, seed, 1, 8,
-                   prop_topology_conservation);
-}
-
-std::optional<Failure> suite_pod_balance(std::size_t cases,
-                                         std::uint64_t seed) {
-  return run_suite("pod-balance", cases, seed, 1, 16, prop_pod_balance);
-}
-
-std::optional<Failure> suite_migration_economy(std::size_t cases,
-                                               std::uint64_t seed) {
-  // Each case runs one baseline plus two managed DSM-Sorts (replay
-  // included); sized like the other whole-sim suites.
-  return run_suite("migration-economy", cases, seed, 1, 8,
-                   prop_migration_economy);
-}
-
+// Whole-simulation suites (every DSM-Sort, tenancy, sharded or
+// routed-plan run per case) cap their size at 8 to keep a 100-case
+// suite interactive; the pure-model suites scale further.
 const std::vector<SuiteInfo>& all_suites() {
   static const std::vector<SuiteInfo> kSuites = {
-      {"permutation", &suite_permutation, 100},
-      {"packet-order", &suite_packet_order, 100},
-      {"conservation", &suite_conservation, 100},
-      {"sr-balance", &suite_sr_balance, 100},
-      {"predictor", &suite_predictor, 100},
-      {"digest", &suite_digest, 100},
-      {"fault-conservation", &suite_fault_conservation, 100},
-      {"fault-routing", &suite_fault_routing, 100},
-      {"lm-switch", &suite_lm_switch, 100},
-      {"lm-migration", &suite_lm_migration, 100},
-      {"histogram", &suite_histogram, 100},
-      {"tenant-conservation", &suite_tenant_conservation, 100},
-      {"tenant-arrival", &suite_tenant_arrival, 100},
-      {"sharded-digest", &suite_sharded_digest, 100},
-      {"topology-conservation", &suite_topology_conservation, 100},
-      {"pod-balance", &suite_pod_balance, 100},
-      {"migration-economy", &suite_migration_economy, 100},
+      {"permutation", prop_permutation, 16},
+      {"packet-order", prop_packet_order, 8},
+      {"conservation", prop_conservation, 12},
+      {"sr-balance", prop_sr_balance, 16},
+      {"predictor", prop_predictor, 8},
+      {"digest", prop_digest, 6},
+      {"fault-conservation", prop_fault_conservation, 8},
+      {"fault-routing", prop_fault_routing, 8},
+      {"lm-switch", prop_lm_switch, 8},
+      {"lm-migration", prop_lm_migration, 8},
+      {"histogram", prop_histogram, 16},
+      {"tenant-conservation", prop_tenant_conservation, 8},
+      {"tenant-arrival", prop_tenant_arrival, 8},
+      {"sharded-digest", prop_sharded_digest, 8},
+      {"topology-conservation", prop_topology_conservation, 8},
+      {"pod-balance", prop_pod_balance, 16},
+      {"migration-economy", prop_migration_economy, 8},
+      {"config-fuzz", prop_config_fuzz, 8},
   };
   return kSuites;
+}
+
+const SuiteInfo& suite(std::string_view name) {
+  for (const auto& s : all_suites()) {
+    if (s.name == name) return s;
+  }
+  throw std::out_of_range("no property suite named " + std::string(name));
 }
 
 }  // namespace lmas::check

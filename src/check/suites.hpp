@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -100,47 +101,31 @@ namespace lmas::check {
 ///                  ≤ budget); each decision's declared bytes cover at
 ///                  least the migration overhead; and the managed run
 ///                  replays bit-identically.
-std::optional<Failure> suite_permutation(std::size_t cases,
-                                         std::uint64_t seed);
-std::optional<Failure> suite_packet_order(std::size_t cases,
-                                          std::uint64_t seed);
-std::optional<Failure> suite_conservation(std::size_t cases,
-                                          std::uint64_t seed);
-std::optional<Failure> suite_sr_balance(std::size_t cases,
-                                        std::uint64_t seed);
-std::optional<Failure> suite_predictor(std::size_t cases,
-                                       std::uint64_t seed);
-std::optional<Failure> suite_digest(std::size_t cases, std::uint64_t seed);
-std::optional<Failure> suite_fault_conservation(std::size_t cases,
-                                                std::uint64_t seed);
-std::optional<Failure> suite_fault_routing(std::size_t cases,
-                                           std::uint64_t seed);
-std::optional<Failure> suite_lm_switch(std::size_t cases,
-                                       std::uint64_t seed);
-std::optional<Failure> suite_lm_migration(std::size_t cases,
-                                          std::uint64_t seed);
-std::optional<Failure> suite_histogram(std::size_t cases,
-                                       std::uint64_t seed);
-std::optional<Failure> suite_tenant_conservation(std::size_t cases,
-                                                 std::uint64_t seed);
-std::optional<Failure> suite_tenant_arrival(std::size_t cases,
-                                            std::uint64_t seed);
-std::optional<Failure> suite_sharded_digest(std::size_t cases,
-                                            std::uint64_t seed);
-std::optional<Failure> suite_topology_conservation(std::size_t cases,
-                                                   std::uint64_t seed);
-std::optional<Failure> suite_pod_balance(std::size_t cases,
-                                         std::uint64_t seed);
-std::optional<Failure> suite_migration_economy(std::size_t cases,
-                                               std::uint64_t seed);
+///  - config-fuzz:  the validation boundary — random, often invalid
+///                  DsmSortConfig × MachineParams × LoadManagerConfig
+///                  values and small TenancyConfigs are rejected with
+///                  std::invalid_argument at entry exactly when a
+///                  validation rule says so; every accepted run
+///                  completes with ok() and conserves its records. A
+///                  crash, a hang or any other exception fails it.
 
+/// One registered suite: its name (the `--suite` key and report label),
+/// its property, and the size the seeded cases ramp up to.
 struct SuiteInfo {
   std::string_view name;
-  std::optional<Failure> (*fn)(std::size_t cases, std::uint64_t seed);
-  std::size_t default_cases;
+  std::optional<std::string> (*prop)(sim::Rng& rng, unsigned size);
+  unsigned max_size;
+  std::size_t default_cases = 100;
+
+  /// Run `cases` seeded cases; the shrunk counterexample on failure.
+  [[nodiscard]] std::optional<Failure> run(std::size_t cases,
+                                           std::uint64_t seed) const;
 };
 
 /// Registry for the lmas_check driver and the gtest property binaries.
 [[nodiscard]] const std::vector<SuiteInfo>& all_suites();
+
+/// The registered suite named `name` (std::out_of_range if none).
+[[nodiscard]] const SuiteInfo& suite(std::string_view name);
 
 }  // namespace lmas::check

@@ -10,7 +10,6 @@
 
 #include "asu/asu.hpp"
 #include "core/pipeline.hpp"
-#include "fault/fault.hpp"
 #include "obs/report.hpp"
 #include "obs/sampler.hpp"
 #include "core/splitters.hpp"
@@ -43,16 +42,24 @@ double wall_seconds() {
       .count();
 }
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out.empty() ? "<none>" : out;
-}
-
 }  // namespace
+
+void DsmSortConfig::validate() const {
+  if (alpha == 0) {
+    throw std::invalid_argument("DsmSortConfig.alpha must be >= 1");
+  }
+  if (log2_alpha_beta >= 64) {
+    throw std::invalid_argument(
+        "DsmSortConfig.log2_alpha_beta must be < 64 (got " +
+        std::to_string(log2_alpha_beta) + ")");
+  }
+  if (!(fair_share_weight > 0)) {
+    throw std::invalid_argument(
+        "DsmSortConfig.fair_share_weight must be > 0 (got " +
+        std::to_string(fair_share_weight) + ")");
+  }
+  load_manager.validate();
+}
 
 /// A stored (sorted) run reassembled on an ASU, tagged with its subset.
 /// External linkage because DsmSortSim (whose definition is TU-local but
@@ -62,33 +69,46 @@ struct StoredRun {
   std::vector<em::KeyRecord> records;
 };
 
-/// Whole-program state for one emulated DSM-Sort execution. Instance
-/// bodies are member coroutines; the object outlives the engine run.
-///
-/// Two ownership modes share this definition. Standalone (run_dsm_sort):
-/// the sim owns a private engine + cluster, runs the event loop itself,
-/// and may construct the fault/management layers. Embedded (DsmSortJob):
-/// the sim borrows a scheduler's engine + cluster, contributes only its
-/// own pipeline coroutines (wrapped so the job can detect completion),
-/// and leaves injection/monitoring/sampling to the scheduler. Every
-/// instrument, track, and spawn name is routed through pfx(), so an
-/// empty cfg.label reproduces the legacy names byte-for-byte and the
-/// pinned golden digests are untouched.
+/// Whole-program state for one emulated DSM-Sort execution on a
+/// borrowed engine and cluster (the machine shape comes from the
+/// cluster). Instance bodies are member coroutines; the object outlives
+/// the engine run. Every instrument, track, and spawn name is routed
+/// through pfx(), so an empty cfg.label reproduces the legacy names
+/// byte-for-byte and the pinned golden digests are untouched.
 class DsmSortSim {
  public:
-  /// Standalone mode: private engine and cluster, full report.
-  DsmSortSim(const asu_ns::MachineParams& machine, const DsmSortConfig& cfg)
-      : DsmSortSim(machine, cfg, nullptr, nullptr) {}
-
-  /// Embedded mode: one job on a shared engine/cluster (see DsmSortJob).
   DsmSortSim(sim::Engine& eng, asu_ns::Cluster& cluster,
              const DsmSortConfig& cfg)
-      : DsmSortSim(cluster.params(), cfg, &eng, &cluster) {}
+      : mp_(cluster.params()),
+        cfg_(cfg),
+        eng_(eng),
+        cluster_(cluster),
+        d_(mp_.num_asus),
+        h_(mp_.num_hosts),
+        hosts_(tier(cluster, asu_ns::NodeKind::Host, h_)),
+        asus_(tier(cluster, asu_ns::NodeKind::Asu, d_)),
+        alpha_(cfg.distribute_on_asus ? cfg.alpha : 1),
+        packet_records_(derive_packet_records()),
+        block_records_(std::max<std::size_t>(
+            1, std::size_t(64 * 1024) / mp_.record_bytes)),
+        classifier_(make_classifier()),
+        checksum_in_(d_, 0),
+        count_in_(d_, 0),
+        charge_scale_(1.0 / cfg.fair_share_weight) {}
 
-  DsmSortReport run() {
-    if (!cfg_.trace_file.empty()) eng_.tracer().enable();
+  /// The standalone program (run_dsm_sort) on `plane`'s engine and
+  /// cluster: pass 1 with the control plane's services, optionally
+  /// pass 2, then the full report.
+  DsmSortReport run(ClusterRun& plane) {
     dsm_track_ = eng_.tracer().track(pfx("dsm-sort"));
-    run_pass1();
+    build_pass1();
+    plane.start(cfg_.faults, cfg_.seed, cfg_.load_manager,
+                /*stop_when_idle=*/true);
+    if (LoadManager* m = plane.manager()) attach_manager(*m, "");
+    attach_sampler();
+    spawn_pass1();
+    eng_.run_to_completion("DSM-Sort pass 1");
+    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
     DsmSortReport rep;
     rep.pass1_seconds = pass1_end_;
     eng_.tracer().complete(dsm_track_, "pass1", 0.0, pass1_end_);
@@ -104,28 +124,13 @@ class DsmSortSim {
     }
     rep.makespan = eng_.now();
     if (job_hist_ != nullptr) job_hist_->observe(rep.makespan);
-    if (monitor_) {
-      rep.peak_host_imbalance = monitor_->peak_host_imbalance();
-      rep.mean_host_imbalance = monitor_->mean_host_imbalance();
-    }
-    if (manager_) {
-      rep.lm_managed = true;
-      rep.lm_migrations = manager_->migrations();
-      rep.lm_router_switches = manager_->router_switches();
-      rep.lm_events = manager_->events();
-      rep.lm_decisions = manager_->decisions();
+    if (const LoadMonitor* monitor = plane.monitor()) {
+      rep.peak_host_imbalance = monitor->peak_host_imbalance();
+      rep.mean_host_imbalance = monitor->mean_host_imbalance();
     }
     collect_utilization(rep);
-    rep.metrics = eng_.metrics().snapshot();
-    if (cfg_.telemetry.histograms) {
-      rep.histograms = eng_.metrics().latency_summaries();
-    }
     if (sampler_ != nullptr) rep.time_series = sampler_->to_json();
-    rep.sim_events = eng_.events_processed();
-    rep.digest = eng_.digest();
-    if (!cfg_.trace_file.empty()) {
-      eng_.tracer().write_chrome_trace(cfg_.trace_file);
-    }
+    plane.finish(rep, cfg_.telemetry.histograms);
     return rep;
   }
 
@@ -185,45 +190,12 @@ class DsmSortSim {
       for (unsigned hh = 0; hh < h_; ++hh) {
         decls.push_back(sort_declaration(hh));
       }
-      manager.client_instances(client_, host_nodes_vec(), host_nodes_vec(),
+      manager.client_instances(client_, hosts_, hosts_,
                                std::move(decls));
     }
   }
 
  private:
-  /// Delegation target for both modes: null externals means standalone
-  /// (own the engine/cluster), non-null means embedded (borrow them; the
-  /// machine shape comes from the shared cluster, so jobs cannot
-  /// disagree with the substrate they run on).
-  DsmSortSim(const asu_ns::MachineParams& machine, const DsmSortConfig& cfg,
-             sim::Engine* ext_eng, asu_ns::Cluster* ext_cluster)
-      : mp_(machine),
-        cfg_(cfg),
-        owned_eng_(ext_eng != nullptr ? nullptr
-                                      : std::make_unique<sim::Engine>()),
-        owned_cluster_(ext_cluster != nullptr
-                           ? nullptr
-                           : std::make_unique<asu_ns::Cluster>(*owned_eng_,
-                                                               machine)),
-        eng_(ext_eng != nullptr ? *ext_eng : *owned_eng_),
-        cluster_(ext_cluster != nullptr ? *ext_cluster : *owned_cluster_),
-        d_(machine.num_asus),
-        h_(machine.num_hosts),
-        alpha_(cfg.distribute_on_asus ? cfg.alpha : 1),
-        packet_records_(derive_packet_records()),
-        block_records_(std::max<std::size_t>(
-            1, std::size_t(64 * 1024) / machine.record_bytes)),
-        classifier_(make_classifier()),
-        checksum_in_(d_, 0),
-        count_in_(d_, 0) {
-    if (!(cfg.fair_share_weight > 0)) {
-      throw std::invalid_argument(
-          "DsmSortConfig.fair_share_weight must be > 0 (got " +
-          std::to_string(cfg.fair_share_weight) + ")");
-    }
-    charge_scale_ = 1.0 / cfg.fair_share_weight;
-  }
-
   /// Prefix an instrument/track/spawn name with the job label. Empty
   /// label returns the legacy name unchanged (golden compatibility).
   [[nodiscard]] std::string pfx(const char* s) const {
@@ -239,21 +211,8 @@ class DsmSortSim {
 
   // ----------------------------- pass 1 -------------------------------
 
-  void run_pass1() {
-    build_pass1();
-    attach_management();
-    spawn_pass1();
-    eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("DSM-Sort pass 1 deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
-    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
-  }
-
   /// Build the pass-1 pipeline: inboxes, routers, stage outputs,
-  /// histograms, validation state, and (standalone only) the fault
-  /// injector. No coroutines are spawned yet.
+  /// histograms and validation state. No coroutines are spawned yet.
   void build_pass1() {
     // The host-side inbox may buffer generously: hosts have large
     // memories (the model's asymmetry), and smooth pipelining requires
@@ -265,10 +224,6 @@ class DsmSortSim {
                 std::max<std::size_t>(1, packet_records_) / h_);
     sort_in_ = std::make_unique<StageInboxes>(eng_, h_, host_inbox_packets);
     store_in_ = std::make_unique<StageInboxes>(eng_, d_, 64);
-
-    std::vector<asu_ns::Node*> host_nodes, asu_nodes;
-    for (unsigned i = 0; i < h_; ++i) host_nodes.push_back(&cluster_.host(i));
-    for (unsigned i = 0; i < d_; ++i) asu_nodes.push_back(&cluster_.asu(i));
 
     // Passive baseline has no subsets, so spread packets round-robin; the
     // active configurations route per the configured policy. Under the
@@ -304,7 +259,7 @@ class DsmSortSim {
     to_sort_ = std::make_unique<StageOutput>(
         eng_, cluster_.network(),
         StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = sort_in_->endpoints(host_nodes),
+                  .endpoints = sort_in_->endpoints(hosts_),
                   .router = std::move(sort_router),
                   .producers = d_,
                   .name = pfx("to_sort"),
@@ -337,7 +292,7 @@ class DsmSortSim {
     to_store_ = std::make_unique<StageOutput>(
         eng_, cluster_.network(),
         StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = store_in_->endpoints(asu_nodes),
+                  .endpoints = store_in_->endpoints(asus_),
                   .router = std::move(store_router),
                   .producers = h_,
                   .name = pfx("to_store"),
@@ -367,51 +322,23 @@ class DsmSortSim {
     sort_staged_records_.assign(h_, 0);
     store_end_.assign(d_, 0.0);
 
-    // Fault layer: spawned only for a non-empty plan so fault-free runs
-    // make no extra RNG draws, schedule no extra events, and register no
-    // extra metrics — the pinned golden digests stay bit-for-bit intact.
+    // The retry contract rides with the plan; the injector itself
+    // belongs to the run's control plane (one per cluster, not one per
+    // job). Fault-free runs leave delivery untouched.
     if (!cfg_.faults.empty()) {
       to_sort_->set_fault_retry(cfg_.faults.retry_timeout,
                                 cfg_.faults.max_retries);
       to_store_->set_fault_retry(cfg_.faults.retry_timeout,
                                  cfg_.faults.max_retries);
-      // Embedded jobs configure the retry contract but never inject: the
-      // cluster's fault timeline belongs to the tenant scheduler (one
-      // injector for everyone, not one per job).
-      if (!embedded_) {
-        injector_ = std::make_unique<fault::FaultInjector>(
-            cluster_, cfg_.faults,
-            sim::Rng(cfg_.seed).stream(sim::stream_id("faults")));
-        eng_.spawn(injector_->run(), "fault-injector");
-      }
     }
   }
 
-  /// Standalone only: the in-sim monitor/manager pair and the passive
-  /// sampler. Embedded jobs skip this whole layer — the scheduler runs
-  /// one shared monitor + cross-job manager for the cluster.
-  void attach_management() {
-    // Load-management layer: like the fault layer, constructed only when
-    // asked for, so Off-mode runs schedule no sampling events and
-    // register no lm metrics (digest neutrality for the pinned goldens).
-    if (cfg_.load_manager.mode != LoadManagerMode::Off) {
-      monitor_ =
-          std::make_unique<LoadMonitor>(cluster_, cfg_.load_manager.period);
-      if (cfg_.load_manager.mode == LoadManagerMode::Manage) {
-        owned_manager_ =
-            std::make_unique<LoadManager>(eng_, cfg_.load_manager);
-        attach_manager(*owned_manager_, "");
-        monitor_->set_observer(
-            [this](const LoadSample& s) { manager_->on_sample(s); });
-      }
-      monitor_->start(cfg_.load_manager.max_samples);
-    }
-
-    // Sim-time series: a passive sampler driven from the engine's run
-    // loop (see Engine::set_sampler), NOT a scheduled process — a
-    // sampling coroutine would add events and move the digest. Probe
-    // order is fixed by configuration, so serial and parallel sweeps
-    // emit identical time_series blocks.
+  /// Standalone only: the passive sim-time sampler, driven from the
+  /// engine's run loop (see Engine::set_sampler), NOT a scheduled
+  /// process — a sampling coroutine would add events and move the
+  /// digest. Probe order is fixed by configuration, so serial and
+  /// parallel sweeps emit identical time_series blocks.
+  void attach_sampler() {
     if (cfg_.telemetry.sampler) {
       const double period = cfg_.telemetry.sample_period > 0
                                 ? cfg_.telemetry.sample_period
@@ -428,7 +355,7 @@ class DsmSortSim {
             "asu.backlog." + std::to_string(a),
             [n = &cluster_.asu(a)] { return n->cpu().backlog(); });
       }
-      if (injector_ != nullptr) {
+      if (!cfg_.faults.empty()) {
         sampler_->add_probe("fault.nodes_impaired", [this] {
           double n = 0;
           for (unsigned i = 0; i < h_; ++i) {
@@ -496,10 +423,10 @@ class DsmSortSim {
     }
   }
 
-  [[nodiscard]] std::vector<asu_ns::Node*> host_nodes_vec() {
+  static std::vector<asu_ns::Node*> tier(asu_ns::Cluster& cluster,
+                                         asu_ns::NodeKind kind, unsigned n) {
     std::vector<asu_ns::Node*> nodes;
-    nodes.reserve(h_);
-    for (unsigned i = 0; i < h_; ++i) nodes.push_back(&cluster_.host(i));
+    for (unsigned i = 0; i < n; ++i) nodes.push_back(&cluster.node(kind, i));
     return nodes;
   }
 
@@ -779,24 +706,31 @@ class DsmSortSim {
                                              std::to_string(hh) + ".records");
     }
     records_done->inc(block.size());
+    // Derived flow: the sorted-run packet's lane links back to the
+    // distribute packet whose arrival completed the run.
+    co_await ship_run(*to_store_, node, subset, run_id, block, parent_flow);
+  }
 
+  /// Ship one sorted run through `out` as packets of packet_records_.
+  sim::Task<> ship_run(StageOutput& out, asu_ns::Node& node,
+                       std::uint32_t subset, std::uint32_t run_id,
+                       const std::vector<em::KeyRecord>& records,
+                       std::uint64_t parent_flow = 0) {
     std::size_t off = 0;
     std::uint32_t seq = 0;
-    while (off < block.size()) {
-      const std::size_t n = std::min(packet_records_, block.size() - off);
-      Packet out;
-      out.subset = subset;
-      out.run_id = run_id;
-      out.seq = seq++;
-      out.sorted = true;
-      // Derived flow: the sorted-run packet's lane links back to the
-      // distribute packet whose arrival completed the run.
-      out.parent_id = parent_flow;
-      out.records = to_store_->pool().acquire(n);
-      out.records.assign(block.begin() + std::ptrdiff_t(off),
-                         block.begin() + std::ptrdiff_t(off + n));
+    while (off < records.size()) {
+      const std::size_t n = std::min(packet_records_, records.size() - off);
+      Packet pkt;
+      pkt.subset = subset;
+      pkt.run_id = run_id;
+      pkt.seq = seq++;
+      pkt.sorted = true;
+      pkt.parent_id = parent_flow;
+      pkt.records = out.pool().acquire(n);
+      pkt.records.assign(records.begin() + std::ptrdiff_t(off),
+                         records.begin() + std::ptrdiff_t(off + n));
       off += n;
-      co_await to_store_->emit(node, std::move(out));
+      co_await out.emit(node, std::move(pkt));
     }
   }
 
@@ -888,14 +822,10 @@ class DsmSortSim {
     merge_in_ = std::make_unique<StageInboxes>(eng_, h_, 16);
     final_in_ = std::make_unique<StageInboxes>(eng_, d_, 8);
 
-    std::vector<asu_ns::Node*> host_nodes, asu_nodes;
-    for (unsigned i = 0; i < h_; ++i) host_nodes.push_back(&cluster_.host(i));
-    for (unsigned i = 0; i < d_; ++i) asu_nodes.push_back(&cluster_.asu(i));
-
     to_host_merge_ = std::make_unique<StageOutput>(
         eng_, cluster_.network(),
         StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = merge_in_->endpoints(host_nodes),
+                  .endpoints = merge_in_->endpoints(hosts_),
                   .router = std::make_unique<StaticPartitionRouter>(),
                   .producers = d_,
                   .name = "to_host_merge",
@@ -903,7 +833,7 @@ class DsmSortSim {
     to_final_store_ = std::make_unique<StageOutput>(
         eng_, cluster_.network(),
         StageSpec{.record_bytes = mp_.record_bytes,
-                  .endpoints = final_in_->endpoints(asu_nodes),
+                  .endpoints = final_in_->endpoints(asus_),
                   .router = std::make_unique<RoundRobinRouter>(),
                   .producers = h_,
                   .name = "to_final_store",
@@ -923,11 +853,7 @@ class DsmSortSim {
       eng_.spawn(final_store_instance(a), "final_store" + std::to_string(a));
     }
 
-    eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("DSM-Sort pass 2 deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
+    eng_.run_to_completion("DSM-Sort pass 2");
 
     rep.pass2_seconds =
         *std::max_element(final_end_.begin(), final_end_.end()) - pass1_end_;
@@ -951,22 +877,22 @@ class DsmSortSim {
     std::uint32_t next_run_id = a * 0x10000u + 1;
     for (std::uint32_t s = 0; s < alpha_; ++s) {
       // Collect this ASU's local runs of subset s.
-      std::vector<const StoredRun*> runs;
+      Runs runs;
       for (const auto& run : stored_[a]) {
-        if (run.subset == s && !run.records.empty()) runs.push_back(&run);
+        if (run.subset == s && !run.records.empty()) {
+          runs.push_back(&run.records);
+        }
       }
       if (!runs.empty()) {
         // Sequential disk read of the runs we are about to merge.
         std::size_t bytes = 0;
-        for (const auto* r : runs) {
-          bytes += r->records.size() * mp_.record_bytes;
-        }
+        for (const auto* r : runs) bytes += r->size() * mp_.record_bytes;
         co_await node.disk().read(bytes);
 
         if (cfg_.gamma1 == 1 || runs.size() == 1) {
           // No ASU-side merge: ship runs as-is (hosts take full fan-in).
           for (const auto* r : runs) {
-            co_await ship_run(node, s, next_run_id++, r->records);
+            co_await ship_run(*to_host_merge_, node, s, next_run_id++, *r);
           }
         } else {
           const std::size_t g =
@@ -975,11 +901,14 @@ class DsmSortSim {
                                                        runs.size());
           for (std::size_t base = 0; base < runs.size(); base += g) {
             const std::size_t cnt = std::min(g, runs.size() - base);
-            auto merged = merge_group(runs, base, cnt);
+            const auto merged = merge_all(
+                Runs(runs.begin() + std::ptrdiff_t(base),
+                     runs.begin() + std::ptrdiff_t(base + cnt)));
             co_await node.compute(
                 double(merged.size()) *
                 mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
-            co_await ship_run(node, s, next_run_id++, merged);
+            co_await ship_run(*to_host_merge_, node, s, next_run_id++,
+                              merged);
           }
         }
       }
@@ -992,44 +921,28 @@ class DsmSortSim {
     to_host_merge_->producer_done();
   }
 
-  static std::vector<em::KeyRecord> merge_group(
-      const std::vector<const StoredRun*>& runs, std::size_t base,
-      std::size_t cnt) {
+  /// Sorted runs to merge, in merge-source order.
+  using Runs = std::vector<const std::vector<em::KeyRecord>*>;
+
+  /// A loser tree streaming the k-way merge of `runs`.
+  static em::LoserTree<em::KeyRecord> merge_tree(const Runs& runs) {
     std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-    sources.reserve(cnt);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const auto* run = runs[base + i];
-      sources.push_back(
-          [run, pos = std::size_t(0)]() mutable -> std::optional<em::KeyRecord> {
-            if (pos >= run->records.size()) return std::nullopt;
-            return run->records[pos++];
-          });
+    sources.reserve(runs.size());
+    for (const auto* v : runs) {
+      sources.push_back([v, pos = std::size_t(0)]() mutable
+                        -> std::optional<em::KeyRecord> {
+        if (pos >= v->size()) return std::nullopt;
+        return (*v)[pos++];
+      });
     }
-    em::LoserTree<em::KeyRecord> tree(std::move(sources));
+    return em::LoserTree<em::KeyRecord>(std::move(sources));
+  }
+
+  static std::vector<em::KeyRecord> merge_all(const Runs& runs) {
+    auto tree = merge_tree(runs);
     std::vector<em::KeyRecord> out;
     while (auto r = tree.next()) out.push_back(*r);
     return out;
-  }
-
-  sim::Task<> ship_run(asu_ns::Node& node, std::uint32_t subset,
-                       std::uint32_t run_id,
-                       const std::vector<em::KeyRecord>& records) {
-    std::size_t off = 0;
-    std::uint32_t seq = 0;
-    while (off < records.size()) {
-      const std::size_t n =
-          std::min(packet_records_, records.size() - off);
-      Packet out;
-      out.subset = subset;
-      out.run_id = run_id;
-      out.seq = seq++;
-      out.sorted = true;
-      out.records = to_host_merge_->pool().acquire(n);
-      out.records.assign(records.begin() + std::ptrdiff_t(off),
-                         records.begin() + std::ptrdiff_t(off + n));
-      off += n;
-      co_await to_host_merge_->emit(node, std::move(out));
-    }
   }
 
   sim::Task<> host_merge_instance(unsigned hh) {
@@ -1084,48 +997,22 @@ class DsmSortSim {
           next.push_back(std::move(work[base]));
           continue;
         }
-        std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-        sources.reserve(cnt);
-        std::size_t total = 0;
-        for (std::size_t i = 0; i < cnt; ++i) {
-          total += work[base + i].size();
-          sources.push_back([v = &work[base + i],
-                             pos = std::size_t(0)]() mutable
-                            -> std::optional<em::KeyRecord> {
-            if (pos >= v->size()) return std::nullopt;
-            return (*v)[pos++];
-          });
-        }
-        em::LoserTree<em::KeyRecord> tree(std::move(sources));
-        std::vector<em::KeyRecord> merged;
-        merged.reserve(total);
-        while (auto r = tree.next()) merged.push_back(*r);
+        Runs group;
+        for (std::size_t i = 0; i < cnt; ++i) group.push_back(&work[base + i]);
+        auto merged = merge_all(group);
         co_await node.compute(
-            double(total) *
+            double(merged.size()) *
             mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/false));
         next.push_back(std::move(merged));
       }
       work = std::move(next);
     }
-    runs.clear();
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      runs.emplace(std::uint32_t(i), std::move(work[i]));
-    }
 
-    const unsigned gamma2 = unsigned(runs.size());
-    std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
-    sources.reserve(runs.size());
-    for (auto& [id, vec] : runs) {
-      sources.push_back(
-          [v = &vec, pos = std::size_t(0)]() mutable
-          -> std::optional<em::KeyRecord> {
-            if (pos >= v->size()) return std::nullopt;
-            return (*v)[pos++];
-          });
-    }
-    em::LoserTree<em::KeyRecord> tree(std::move(sources));
+    Runs final_runs;
+    for (const auto& v : work) final_runs.push_back(&v);
+    auto tree = merge_tree(final_runs);
     const double per_rec =
-        mp_.cost.merge_per_record(gamma2, /*on_asu=*/false);
+        mp_.cost.merge_per_record(unsigned(work.size()), /*on_asu=*/false);
 
     SubsetBounds bounds;
     std::uint32_t prev_key = 0;
@@ -1233,16 +1120,12 @@ class DsmSortSim {
 
   asu_ns::MachineParams mp_;
   DsmSortConfig cfg_;
-  // Ownership mode (see the class comment): standalone owns, embedded
-  // borrows. The references are what the rest of the class uses, so the
-  // two modes share every line of pipeline code. Declaration order
-  // matters: the owned slots must initialize before the references bind.
-  std::unique_ptr<sim::Engine> owned_eng_;
-  std::unique_ptr<asu_ns::Cluster> owned_cluster_;
   sim::Engine& eng_;
   asu_ns::Cluster& cluster_;
   unsigned d_;
   unsigned h_;
+  std::vector<asu_ns::Node*> hosts_;
+  std::vector<asu_ns::Node*> asus_;
   unsigned alpha_;
   std::size_t packet_records_;
   std::size_t block_records_;
@@ -1281,12 +1164,9 @@ class DsmSortSim {
   std::size_t records_final_ = 0;
   bool final_sorted_ok_ = true;
   std::uint32_t dsm_track_ = 0;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<LoadMonitor> monitor_;
-  std::unique_ptr<LoadManager> owned_manager_;  // standalone Manage only
-  /// The manager this run's consult points use (owned_manager_ when
-  /// standalone, the scheduler's shared one when embedded; null when
-  /// unmanaged) and this run's client id in it.
+  /// The manager this run's consult points use (the control plane's,
+  /// or the tenant scheduler's shared one; null when unmanaged) and this
+  /// run's client id in it.
   LoadManager* manager_ = nullptr;
   std::size_t client_ = 0;
   std::unique_ptr<obs::Sampler> sampler_;
@@ -1297,12 +1177,12 @@ class DsmSortSim {
   obs::LatencyHistogram* job_hist_ = nullptr;
   SwitchableRouter* switch_router_ = nullptr;  // owned by to_sort_'s router
 
-  // Embedded (job) mode state — inert in standalone runs: embedded_
-  // stays false, the condition is constructed but never notified (a
-  // no-event operation), and charge_scale_ is exactly 1.0 at the
-  // default weight, so the standalone event stream is unchanged.
+  // charge_scale_ is exactly 1.0 at the default weight, so single-tenant
+  // charges are unchanged. Job-mode state is inert in standalone runs:
+  // embedded_ stays false and the condition is constructed but never
+  // notified (a no-event operation).
+  double charge_scale_;  // 1 / cfg.fair_share_weight
   bool embedded_ = false;
-  double charge_scale_ = 1.0;  // 1 / cfg.fair_share_weight
   double t0_ = 0;
   std::size_t total_instances_ = 0;
   std::size_t finished_instances_ = 0;
@@ -1313,13 +1193,16 @@ class DsmSortSim {
 
 DsmSortReport run_dsm_sort(const asu::MachineParams& machine,
                            const DsmSortConfig& config) {
-  DsmSortSim sim(machine, config);
-  return sim.run();
+  config.validate();
+  ClusterRun plane(machine, config.trace_file);
+  DsmSortSim sim(plane.engine(), plane.cluster(), config);
+  return sim.run(plane);
 }
 
 DsmSortJob::DsmSortJob(sim::Engine& eng, asu::Cluster& cluster,
-                       const DsmSortConfig& cfg)
-    : sim_(std::make_unique<DsmSortSim>(eng, cluster, cfg)) {
+                       const DsmSortConfig& cfg) {
+  cfg.validate();
+  sim_ = std::make_unique<DsmSortSim>(eng, cluster, cfg);
   sim_->build_embedded();
 }
 
@@ -1356,34 +1239,7 @@ obs::Json dsm_report_to_json(const DsmSortReport& rep) {
   j["mean_host_imbalance"] = rep.mean_host_imbalance;
   j["lm_migrations"] = rep.lm_migrations;
   j["lm_router_switches"] = rep.lm_router_switches;
-  obs::Json lm_events = obs::Json::array();
-  for (const auto& e : rep.lm_events) {
-    obs::Json entry = obs::Json::object();
-    entry["time"] = e.time;
-    entry["what"] = e.what;
-    lm_events.push_back(std::move(entry));
-  }
-  j["lm_events"] = std::move(lm_events);
-  // The placer decision journal is present iff the run constructed a
-  // manager (config-driven: mode == Manage), so serial and parallel
-  // sweeps emit identically shaped artifacts.
-  if (rep.lm_managed) {
-    obs::Json placer = obs::Json::array();
-    for (const auto& d : rep.lm_decisions) {
-      obs::Json entry = obs::Json::object();
-      entry["time"] = d.time;
-      entry["client"] = d.client;
-      entry["instance"] = d.instance;
-      entry["from"] = d.from;
-      entry["to"] = d.to;
-      entry["mode"] = std::string(migration_mode_name(d.mode));
-      entry["bytes"] = d.bytes;
-      entry["est_stall_seconds"] = d.est_stall;
-      entry["gain_seconds"] = d.gain;
-      placer.push_back(std::move(entry));
-    }
-    j["placer"] = std::move(placer);
-  }
+  lm_blocks_to_json(j, rep);
   obs::Json util = obs::Json::object();
   const auto add_nodes = [&](const std::vector<NodeUtilization>& nodes) {
     for (const auto& n : nodes) {

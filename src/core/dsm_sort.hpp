@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "asu/params.hpp"
+#include "core/cluster_run.hpp"
 #include "core/load_manager.hpp"
 #include "core/routing.hpp"
 #include "core/workload.hpp"
@@ -121,9 +122,8 @@ struct DsmSortConfig {
   /// wire charges scale at 1/weight, so a weight-2 tenant occupies
   /// shared resources half as long per unit of work (weighted fair
   /// sharing approximated at functor granularity; ASU disk time is the
-  /// job's own data and is never scaled). Must be > 0 — rejected at
-  /// construction with std::invalid_argument otherwise. 1.0 multiplies
-  /// exactly, so single-tenant runs stay bit-identical.
+  /// job's own data and is never scaled). Must be > 0 (see validate()).
+  /// 1.0 multiplies exactly, so single-tenant runs stay bit-identical.
   double fair_share_weight = 1.0;
 
   /// Deterministic fault schedule driven while pass 1 runs (the injector
@@ -152,6 +152,12 @@ struct DsmSortConfig {
   /// default off; enabling them does not move the execution digest.
   TelemetryConfig telemetry;
 
+  /// The validation boundary: run_dsm_sort and DsmSortJob call this
+  /// once at entry. Throws std::invalid_argument for alpha == 0,
+  /// log2_alpha_beta >= 64, fair_share_weight <= 0, or an invalid
+  /// load_manager (LoadManagerConfig::validate).
+  void validate() const;
+
   [[nodiscard]] std::size_t beta() const {
     const std::size_t k = std::size_t(1) << log2_alpha_beta;
     const std::size_t b = k / std::max(1u, alpha);
@@ -171,10 +177,11 @@ struct NodeUtilization {
   std::vector<double> series;        // per-bin utilization (Fig. 10)
 };
 
-struct DsmSortReport {
+/// One DSM-Sort run's outcome; the shared tail (makespan, lm_*, metrics,
+/// histograms, sim_events, digest) lives in RunReport.
+struct DsmSortReport : RunReport {
   double pass1_seconds = 0;
   double pass2_seconds = 0;          // 0 when pass 2 not run
-  double makespan = 0;
 
   std::size_t records_in = 0;
   std::size_t records_stored = 0;    // run records written back to ASUs
@@ -192,47 +199,18 @@ struct DsmSortReport {
   /// Records sorted per host (skew visibility for Fig. 10).
   std::vector<std::size_t> records_sorted_per_host;
 
-  /// Load-management observations (zero when load_manager.mode == Off):
-  /// the monitor's peak and actionable-window-mean host imbalance, and
-  /// the manager's action counts plus its decision journal. The peak
-  /// saturates on any lone-straggler window; the mean is the
-  /// managed-vs-unmanaged figure of merit.
+  /// The monitor's peak and actionable-window-mean host imbalance (zero
+  /// when load_manager.mode == Off). The peak saturates on any
+  /// lone-straggler window; the mean is the managed-vs-unmanaged figure
+  /// of merit.
   double peak_host_imbalance = 0;
   double mean_host_imbalance = 0;
-  std::uint64_t lm_migrations = 0;
-  std::uint64_t lm_router_switches = 0;
-  std::vector<LoadManagerEvent> lm_events;
-
-  /// Structured placer journal (one entry per planned move with mode,
-  /// priced bytes, stall estimate, gain). `lm_managed` records whether
-  /// the run constructed a manager at all — config-driven, so artifact
-  /// shape (the `placer` block's presence) never depends on runtime
-  /// state.
-  bool lm_managed = false;
-  std::vector<PlacerDecision> lm_decisions;
 
   double util_bin_seconds = 0;
-
-  /// Full registry snapshot of the run's engine (per-resource busy
-  /// seconds / requests, per-channel bytes, per-functor record counts,
-  /// routing choices, pass gauges) — everything a bench artifact needs.
-  obs::Json metrics;
-
-  /// Quantile summaries ({name: {count, mean, p50, p90, p99, max}}) of
-  /// every latency histogram, when telemetry.histograms was on; null
-  /// otherwise (and then absent from the serialized artifact).
-  obs::Json histograms;
 
   /// The sampler's time-series block ({period, samples, times, series:
   /// {probe: [...]}}), when telemetry.sampler was on; null otherwise.
   obs::Json time_series;
-
-  /// Events the engine processed for this run (simulator work metric).
-  std::uint64_t sim_events = 0;
-
-  /// Execution digest of the run's engine (see sim::Engine::digest):
-  /// identical configuration + seed must reproduce this value exactly.
-  std::uint64_t digest = 0;
 
   [[nodiscard]] bool ok() const {
     return runs_sorted_ok && subsets_ok && checksum_ok &&
@@ -247,22 +225,25 @@ struct DsmSortReport {
 
 /// Execute DSM-Sort on an emulated cluster built from `machine`, timing it
 /// with the discrete-event simulator. Records are really distributed,
-/// sorted and merged; only time is modeled.
+/// sorted and merged; only time is modeled. The run's ClusterRun owns
+/// the engine, the cluster, the fault injector and the monitor/manager
+/// pair. Throws std::invalid_argument for an invalid config
+/// (DsmSortConfig::validate) or machine (ClusterRun).
 DsmSortReport run_dsm_sort(const asu::MachineParams& machine,
                            const DsmSortConfig& config);
 
 class DsmSortSim;
 
 /// One DSM-Sort embedded as a *job* on a shared engine/cluster (the
-/// multi-tenant serving path): construction builds the pass-1 pipeline
-/// against the caller's cluster, body() is the root coroutine the
-/// scheduler spawns, and report() is valid once finished(). Embedded
-/// jobs never construct their own monitor/manager, sampler, or fault
-/// injector — the tenant scheduler owns cross-job arbitration (one
-/// shared LoadManager, see attach_manager) and the cluster's fault
-/// timeline — and pass 2 is unsupported (std::invalid_argument at
-/// construction). Give each concurrent job a unique cfg.label or their
-/// registry instruments collide.
+/// multi-tenant serving path): construction validates the config and
+/// builds the pass-1 pipeline against the caller's cluster, body() is
+/// the root coroutine the scheduler spawns, and report() is valid once
+/// finished(). Jobs construct no monitor/manager, sampler, or fault
+/// injector — the owner's control plane runs those for the whole
+/// cluster (one shared LoadManager, see attach_manager) — and pass 2 is
+/// unsupported (std::invalid_argument at construction). Give each
+/// concurrent job a unique cfg.label or their registry instruments
+/// collide.
 class DsmSortJob {
  public:
   DsmSortJob(sim::Engine& eng, asu::Cluster& cluster,

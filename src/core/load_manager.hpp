@@ -456,6 +456,18 @@ struct LoadManagerConfig {
   /// overhead + dirty-delta bytes ship stalled. Declarations without a
   /// wire cost always stop-copy (stall estimate 0).
   double precopy_stall_fraction = 0.25;
+
+  /// Throws std::invalid_argument when a monitor would be built (mode
+  /// not Off) with a non-positive sampling period: a zero-length sleep
+  /// does not suspend, so every sample would land at one instant and a
+  /// "managed" run would silently run unmanaged.
+  void validate() const {
+    if (mode != LoadManagerMode::Off && !(period > 0)) {
+      throw std::invalid_argument(
+          "LoadManagerConfig.period must be > 0 (got " +
+          std::to_string(period) + ")");
+    }
+  }
 };
 
 /// One journaled control decision (also emitted as a trace instant on the

@@ -190,15 +190,7 @@ ProgramStats Program::run() {
                     im.stages[s]->spec.name + std::to_string(i));
     }
   }
-  im.eng->run();
-  if (im.eng->unfinished_tasks() != 0) {
-    std::string who;
-    for (const auto& n : im.eng->unfinished_task_names()) {
-      if (!who.empty()) who += ", ";
-      who += n;
-    }
-    throw std::logic_error("program deadlocked; unfinished: " + who);
-  }
+  im.eng->run_to_completion("program");
 
   ProgramStats out;
   out.makespan = im.eng->now() - t0;

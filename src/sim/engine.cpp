@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace lmas::sim {
 
@@ -124,6 +125,20 @@ std::size_t Engine::run_traced(SimTime until) {
       ev.h.resume();
       if (name) tracer_.end(engine_track_, *name, now_);
     }
+  }
+  return processed;
+}
+
+std::size_t Engine::run_to_completion(std::string_view what) {
+  const std::size_t processed = run();
+  if (unfinished_tasks() != 0) {
+    std::string who;
+    for (const auto& name : unfinished_task_names()) {
+      if (!who.empty()) who += ", ";
+      who += name;
+    }
+    throw std::logic_error(std::string(what) + " deadlocked; unfinished: " +
+                           who);
   }
   return processed;
 }

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -154,6 +155,12 @@ class Engine {
   /// stays failed (further run() calls process nothing and rethrow) until
   /// reap_completed() removes the failed root.
   std::size_t run(SimTime until = kTimeInfinity);
+
+  /// run() until the queue drains, then require every spawned root task
+  /// to have finished: a blocked root means a deadlocked or starved
+  /// process, reported as std::logic_error("<what> deadlocked;
+  /// unfinished: <names>"). Returns the number of events processed.
+  std::size_t run_to_completion(std::string_view what);
 
   /// Events processed across all run() calls on this engine.
   [[nodiscard]] std::uint64_t events_processed() const noexcept {

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "asu/asu.hpp"
-#include "fault/fault.hpp"
+#include "core/cluster_run.hpp"
 #include "obs/report.hpp"
 #include "sim/sim.hpp"
 
@@ -28,22 +28,25 @@ const std::vector<JobMixEntry>& mix_of(const TenantSpec& ts) {
   return ts.mix.empty() ? default_mix() : ts.mix;
 }
 
-/// Construction-time rejection of malformed configs (the regression
-/// suite pins the weight-of-zero case). Shared by ArrivalProcess and
-/// the scheduler so both entry points fail identically.
-void validate_config(const TenancyConfig& cfg) {
-  if (cfg.total_jobs > 0 && cfg.tenants.empty()) {
+std::uint64_t fold64(std::uint64_t h, std::uint64_t v) noexcept {
+  return sim::splitmix64_once(h ^ v);
+}
+
+}  // namespace
+
+void TenancyConfig::validate() const {
+  if (total_jobs > 0 && tenants.empty()) {
     throw std::invalid_argument(
         "TenancyConfig: total_jobs > 0 requires at least one tenant");
   }
-  if (cfg.total_jobs > 0 && !(cfg.offered_rate > 0)) {
+  if (total_jobs > 0 && !(offered_rate > 0)) {
     throw std::invalid_argument(
         "TenancyConfig.offered_rate must be > 0 when jobs arrive");
   }
-  if (cfg.max_in_flight == 0) {
+  if (max_in_flight == 0) {
     throw std::invalid_argument("TenancyConfig.max_in_flight must be >= 1");
   }
-  for (const auto& ts : cfg.tenants) {
+  for (const auto& ts : tenants) {
     if (!(ts.fair_share_weight > 0)) {
       throw std::invalid_argument("TenantSpec '" + ts.name +
                                   "': fair_share_weight must be > 0");
@@ -63,22 +66,19 @@ void validate_config(const TenancyConfig& cfg) {
       }
     }
   }
-}
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
+  // The shape every DsmSort job is built with (tenant weight and seed
+  // are filled per job and checked above or always valid).
+  core::DsmSortConfig job;
+  job.alpha = job_alpha;
+  job.log2_alpha_beta = job_log2_alpha_beta;
+  try {
+    job.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("TenancyConfig job shape: ") +
+                                e.what());
   }
-  return out.empty() ? "<none>" : out;
+  load_manager.validate();
 }
-
-std::uint64_t fold64(std::uint64_t h, std::uint64_t v) noexcept {
-  return sim::splitmix64_once(h ^ v);
-}
-
-}  // namespace
 
 const char* job_kind_name(JobKind k) noexcept {
   switch (k) {
@@ -90,7 +90,7 @@ const char* job_kind_name(JobKind k) noexcept {
 }
 
 ArrivalProcess::ArrivalProcess(const TenancyConfig& cfg) {
-  validate_config(cfg);
+  cfg.validate();
   if (cfg.total_jobs == 0 || cfg.tenants.empty()) return;
 
   double total_aw = 0;
@@ -167,24 +167,25 @@ struct FanState {
   sim::Condition cv;
 };
 
-/// The cluster-level scheduler behind run_tenancy: owns the engine and
-/// cluster, drives admission off the pre-generated arrival schedule,
-/// launches per-tenant jobs, and (when managed) runs the shared
-/// monitor + cross-job LoadManager.
+/// The cluster-level scheduler behind run_tenancy: drives admission off
+/// the pre-generated arrival schedule and launches per-tenant jobs on
+/// the engine and cluster of its control plane, whose shared monitor +
+/// cross-job LoadManager (when managed) every DsmSort job attaches to.
 class TenantScheduler {
  public:
   TenantScheduler(const asu_ns::MachineParams& machine,
                   const TenancyConfig& cfg)
-      : mp_(machine),
-        cfg_(cfg),
-        cluster_(eng_, machine),
-        d_(machine.num_asus),
-        h_(machine.num_hosts),
-        arrivals_(cfg),  // validates cfg
+      : cfg_(cfg),
+        arrivals_(cfg),
+        plane_(machine, cfg.trace_file),
+        eng_(plane_.engine()),
+        cluster_(plane_.cluster()),
+        mp_(cluster_.params()),
+        d_(mp_.num_asus),
+        h_(mp_.num_hosts),
         job_done_(eng_) {}
 
   TenancyReport run() {
-    if (!cfg_.trace_file.empty()) eng_.tracer().enable();
     accum_.assign(cfg_.tenants.size(), TenantAccum{});
 
     if (cfg_.telemetry_histograms) {
@@ -195,48 +196,29 @@ class TenantScheduler {
       }
     }
 
-    if (!cfg_.faults.empty()) {
-      injector_ = std::make_unique<fault::FaultInjector>(
-          cluster_, cfg_.faults,
-          sim::Rng(cfg_.seed).stream(sim::stream_id("faults")));
-      eng_.spawn(injector_->run(), "fault-injector");
-    }
-
     // Shared management layer: one monitor feeding one cross-job
-    // manager. stop_when_idle=false — quiescent gaps between arrivals
-    // are normal in an open-arrival run — so the last job completion
-    // must request_stop() or the monitor would tick forever.
-    if (cfg_.load_manager.mode != core::LoadManagerMode::Off &&
-        !arrivals_.events().empty()) {
-      monitor_ = std::make_unique<core::LoadMonitor>(
-          cluster_, cfg_.load_manager.period);
-      if (cfg_.load_manager.mode == core::LoadManagerMode::Manage) {
-        manager_ =
-            std::make_unique<core::LoadManager>(eng_, cfg_.load_manager);
-        monitor_->set_observer(
-            [this](const core::LoadSample& s) { manager_->on_sample(s); });
-        // Pre-register the per-tenant counters so they exist (at zero)
-        // even for tenants whose jobs never trigger an action — the
-        // artifact then has a stable shape across cells.
-        for (const auto& ts : cfg_.tenants) {
-          tenant_migrations_.push_back(
-              &eng_.metrics().counter("lm." + ts.name + ".migrations"));
-          tenant_switches_.push_back(
-              &eng_.metrics().counter("lm." + ts.name + ".router_switches"));
-        }
+    // manager, built only when jobs arrive. stop_when_idle=false —
+    // quiescent gaps between arrivals are normal in an open-arrival run
+    // — so the last job completion must request_stop() or the monitor
+    // would tick forever.
+    const bool jobs = !arrivals_.events().empty();
+    plane_.start(cfg_.faults, cfg_.seed,
+                 jobs ? cfg_.load_manager : core::LoadManagerConfig{},
+                 /*stop_when_idle=*/false);
+    if (plane_.manager() != nullptr) {
+      // Pre-register the per-tenant counters so they exist (at zero)
+      // even for tenants whose jobs never trigger an action — the
+      // artifact then has a stable shape across cells.
+      for (const auto& ts : cfg_.tenants) {
+        tenant_migrations_.push_back(
+            &eng_.metrics().counter("lm." + ts.name + ".migrations"));
+        tenant_switches_.push_back(
+            &eng_.metrics().counter("lm." + ts.name + ".router_switches"));
       }
-      monitor_->start(cfg_.load_manager.max_samples,
-                      /*stop_when_idle=*/false);
     }
 
-    if (!arrivals_.events().empty()) {
-      eng_.spawn(admission(), "tenant-admission");
-    }
-    eng_.run();
-    if (eng_.unfinished_tasks() != 0) {
-      throw std::logic_error("tenancy run deadlocked; unfinished: " +
-                             join_names(eng_.unfinished_task_names()));
-    }
+    if (jobs) eng_.spawn(admission(), "tenant-admission");
+    eng_.run_to_completion("tenancy run");
     return assemble();
   }
 
@@ -309,8 +291,9 @@ class TenantScheduler {
     acc.conservation_ok = acc.conservation_ok && out.conservation_ok;
     --in_flight_;
     ++jobs_completed_;
-    if (jobs_completed_ == arrivals_.events().size() && monitor_) {
-      monitor_->request_stop();
+    if (jobs_completed_ == arrivals_.events().size() &&
+        plane_.monitor() != nullptr) {
+      plane_.monitor()->request_stop();
     }
     job_done_.notify_all();
   }
@@ -327,23 +310,55 @@ class TenantScheduler {
     jc.label = label;
     jc.fair_share_weight = ts.fair_share_weight;
     // The retry contract rides along; the injector does not (the
-    // scheduler owns the cluster's one fault timeline).
+    // control plane owns the cluster's one fault timeline).
     jc.faults = cfg_.faults;
     // Build hint: Manage makes the job construct its SwitchableRouter so
-    // the shared manager has something to promote/demote. The job never
-    // constructs its own monitor/manager in embedded mode.
+    // the shared manager has something to promote/demote.
     jc.load_manager = cfg_.load_manager;
 
     core::DsmSortJob job(eng_, cluster_, jc);
     // Clients are labeled by TENANT (not job), so lm.<tenant>.* counters
     // aggregate a tenant's jobs and journal lines read as
     // "alice: plan migrate ...". The job detaches itself on completion.
-    if (manager_ != nullptr) job.attach_manager(*manager_, ts.name);
+    if (core::LoadManager* m = plane_.manager()) {
+      job.attach_manager(*m, ts.name);
+    }
     co_await job.body();
     const core::DsmSortReport& r = job.report();
     out.records_in = r.records_in;
     out.records_out = r.records_stored;
     out.conservation_ok = r.ok();
+  }
+
+  /// Fan a job's records out over every ASU — one shard task per ASU,
+  /// named "<label>.<kind><a>" — wait for all of them, and account the
+  /// job's records.
+  template <typename MakeShard>
+  sim::Task<> fan_out(const ArrivalEvent& ev, const std::string& label,
+                      const char* kind, JobOutcome& out,
+                      MakeShard make_shard) {
+    const std::size_t n = ev.records;
+    FanState st(eng_);
+    std::size_t assigned = 0;
+    for (unsigned a = 0; a < d_; ++a) {
+      const std::size_t share = n / d_ + (a < n % d_ ? 1 : 0);
+      assigned += share;
+      eng_.spawn(counted(make_shard(a, share), share, &st),
+                 label + "." + kind + std::to_string(a));
+    }
+    while (st.done < d_) co_await st.cv.wait();
+    eng_.metrics().counter(label + "." + kind + ".records").inc(st.processed);
+    out.records_in = n;
+    out.records_out = st.processed;
+    out.conservation_ok = st.processed == n && assigned == n;
+  }
+
+  static sim::Task<> counted(sim::Task<> shard, std::size_t share,
+                             FanState* st) {
+    co_await std::move(shard);
+    st->processed += share;
+    st->done += 1;
+    st->cv.notify_all();
   }
 
   /// Active scan: every ASU streams its local share off disk through a
@@ -353,42 +368,27 @@ class TenantScheduler {
   /// accounting exact.
   sim::Task<> run_scan_job(const ArrivalEvent& ev, const TenantSpec& ts,
                            const std::string& label, JobOutcome& out) {
-    const std::size_t n = ev.records;
     asu_ns::Node* host = &cluster_.host(unsigned(ev.job_seed % h_));
     const double w = 1.0 / ts.fair_share_weight;
-    FanState st(eng_);
-    std::size_t assigned = 0;
-    for (unsigned a = 0; a < d_; ++a) {
-      const std::size_t share = n / d_ + (a < n % d_ ? 1 : 0);
-      assigned += share;
-      eng_.spawn(scan_shard(a, share, share / 16, host, w, &st),
-                 label + ".scan" + std::to_string(a));
-    }
-    while (st.done < d_) co_await st.cv.wait();
-    eng_.metrics().counter(label + ".scan.records").inc(st.processed);
-    out.records_in = n;
-    out.records_out = st.processed;
-    out.conservation_ok = st.processed == n && assigned == n;
+    co_await fan_out(ev, label, "scan", out,
+                     [=, this](unsigned a, std::size_t share) {
+                       return scan_shard(a, share, share / 16, host, w);
+                     });
   }
 
   sim::Task<> scan_shard(unsigned a, std::size_t share, std::size_t selected,
-                         asu_ns::Node* host, double w, FanState* st) {
+                         asu_ns::Node* host, double w) {
     asu_ns::Node& node = cluster_.asu(a);
-    if (share > 0) {
-      while (!node.running()) co_await node.health_wait();
-      co_await node.disk().read(share * mp_.record_bytes);
-      co_await node.compute(w * double(share) *
-                            mp_.cost.scan_per_record(/*on_asu=*/true));
-      if (selected > 0) {
-        co_await cluster_.network().transfer(node, *host,
-                                             selected * mp_.record_bytes);
-        co_await host->compute(w * double(selected) *
-                               mp_.cost.host_handling);
-      }
+    if (share == 0) co_return;
+    while (!node.running()) co_await node.health_wait();
+    co_await node.disk().read(share * mp_.record_bytes);
+    co_await node.compute(w * double(share) *
+                          mp_.cost.scan_per_record(/*on_asu=*/true));
+    if (selected > 0) {
+      co_await cluster_.network().transfer(node, *host,
+                                           selected * mp_.record_bytes);
+      co_await host->compute(w * double(selected) * mp_.cost.host_handling);
     }
-    st->processed += share;
-    st->done += 1;
-    st->cv.notify_all();
   }
 
   /// R-tree bulk load, STR-style: sort the entries on a host (two
@@ -396,42 +396,28 @@ class TenantScheduler {
   /// stripe them across the ASUs' disks.
   sim::Task<> run_bulk_load_job(const ArrivalEvent& ev, const TenantSpec& ts,
                                 const std::string& label, JobOutcome& out) {
-    const std::size_t n = ev.records;
     asu_ns::Node* host = &cluster_.host(unsigned(ev.job_seed % h_));
     const double w = 1.0 / ts.fair_share_weight;
     while (!host->running()) co_await host->health_wait();
     co_await host->compute(
-        w * 2.0 * double(n) *
-        mp_.cost.sort_per_record(std::max<std::size_t>(n, 2),
+        w * 2.0 * double(ev.records) *
+        mp_.cost.sort_per_record(std::max<std::size_t>(ev.records, 2),
                                  /*on_asu=*/false));
-    FanState st(eng_);
-    std::size_t assigned = 0;
-    for (unsigned a = 0; a < d_; ++a) {
-      const std::size_t share = n / d_ + (a < n % d_ ? 1 : 0);
-      assigned += share;
-      eng_.spawn(load_shard(a, share, host, w, &st),
-                 label + ".load" + std::to_string(a));
-    }
-    while (st.done < d_) co_await st.cv.wait();
-    eng_.metrics().counter(label + ".load.records").inc(st.processed);
-    out.records_in = n;
-    out.records_out = st.processed;
-    out.conservation_ok = st.processed == n && assigned == n;
+    co_await fan_out(ev, label, "load", out,
+                     [=, this](unsigned a, std::size_t share) {
+                       return load_shard(a, share, host, w);
+                     });
   }
 
   sim::Task<> load_shard(unsigned a, std::size_t share, asu_ns::Node* host,
-                         double w, FanState* st) {
+                         double w) {
     asu_ns::Node& node = cluster_.asu(a);
-    if (share > 0) {
-      while (!node.running()) co_await node.health_wait();
-      const std::size_t bytes = share * mp_.record_bytes;
-      co_await host->nic_transfer(bytes, w);
-      co_await cluster_.network().transfer(*host, node, bytes);
-      co_await node.disk().write(bytes);
-    }
-    st->processed += share;
-    st->done += 1;
-    st->cv.notify_all();
+    if (share == 0) co_return;
+    while (!node.running()) co_await node.health_wait();
+    const std::size_t bytes = share * mp_.record_bytes;
+    co_await host->nic_transfer(bytes, w);
+    co_await cluster_.network().transfer(*host, node, bytes);
+    co_await node.disk().write(bytes);
   }
 
   TenancyReport assemble() {
@@ -467,33 +453,19 @@ class TenantScheduler {
       }
       rep.tenants.push_back(std::move(st));
     }
-    if (manager_ != nullptr) {
-      rep.lm_managed = true;
-      rep.lm_migrations = manager_->migrations();
-      rep.lm_router_switches = manager_->router_switches();
-      rep.lm_events = manager_->events();
-      rep.lm_decisions = manager_->decisions();
-    }
-    rep.metrics = eng_.metrics().snapshot();
-    if (cfg_.telemetry_histograms) {
-      rep.histograms = eng_.metrics().latency_summaries();
-    }
-    rep.sim_events = eng_.events_processed();
-    rep.digest = eng_.digest();
     rep.arrival_fingerprint = arrivals_.fingerprint();
-    if (!cfg_.trace_file.empty()) {
-      eng_.tracer().write_chrome_trace(cfg_.trace_file);
-    }
+    plane_.finish(rep, cfg_.telemetry_histograms);
     return rep;
   }
 
-  asu_ns::MachineParams mp_;
   TenancyConfig cfg_;
-  sim::Engine eng_;
-  asu_ns::Cluster cluster_;
+  ArrivalProcess arrivals_;
+  core::ClusterRun plane_;
+  sim::Engine& eng_;
+  asu_ns::Cluster& cluster_;
+  const asu_ns::MachineParams& mp_;
   unsigned d_;
   unsigned h_;
-  ArrivalProcess arrivals_;
   sim::Condition job_done_;
 
   std::size_t in_flight_ = 0;
@@ -502,9 +474,6 @@ class TenantScheduler {
   std::size_t admission_waits_ = 0;
   std::vector<TenantAccum> accum_;
 
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<core::LoadMonitor> monitor_;
-  std::unique_ptr<core::LoadManager> manager_;
   obs::LatencyHistogram* job_hist_ = nullptr;
   std::vector<obs::LatencyHistogram*> tenant_hists_;
   std::vector<obs::Counter*> tenant_migrations_;
@@ -515,6 +484,7 @@ class TenantScheduler {
 
 TenancyReport run_tenancy(const asu::MachineParams& machine,
                           const TenancyConfig& cfg) {
+  cfg.validate();
   TenantScheduler sched(machine, cfg);
   return sched.run();
 }
@@ -550,31 +520,7 @@ obs::Json tenancy_report_to_json(const TenancyReport& rep) {
     tenants[t.name] = std::move(e);
   }
   j["tenants"] = std::move(tenants);
-  obs::Json lm_events = obs::Json::array();
-  for (const auto& e : rep.lm_events) {
-    obs::Json entry = obs::Json::object();
-    entry["time"] = e.time;
-    entry["what"] = e.what;
-    lm_events.push_back(std::move(entry));
-  }
-  j["lm_events"] = std::move(lm_events);
-  if (rep.lm_managed) {
-    obs::Json placer = obs::Json::array();
-    for (const auto& d : rep.lm_decisions) {
-      obs::Json entry = obs::Json::object();
-      entry["time"] = d.time;
-      entry["client"] = d.client;
-      entry["instance"] = d.instance;
-      entry["from"] = d.from;
-      entry["to"] = d.to;
-      entry["mode"] = std::string(core::migration_mode_name(d.mode));
-      entry["bytes"] = d.bytes;
-      entry["est_stall_seconds"] = d.est_stall;
-      entry["gain_seconds"] = d.gain;
-      placer.push_back(std::move(entry));
-    }
-    j["placer"] = std::move(placer);
-  }
+  core::lm_blocks_to_json(j, rep);
   if (!rep.histograms.is_null()) j["histograms"] = rep.histograms;
   j["metrics"] = rep.metrics;
   return j;

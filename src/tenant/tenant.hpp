@@ -91,6 +91,14 @@ struct TenancyConfig {
   /// not one big one).
   unsigned job_alpha = 8;
   unsigned job_log2_alpha_beta = 10;
+
+  /// The validation boundary of run_tenancy and ArrivalProcess: throws
+  /// std::invalid_argument for total_jobs > 0 with no tenants or a
+  /// non-positive offered_rate, max_in_flight == 0, a tenant fair-share
+  /// or arrival weight <= 0, a mix entry with weight <= 0 or no records,
+  /// a DSM-Sort job shape that DsmSortConfig::validate rejects, or an
+  /// invalid load_manager.
+  void validate() const;
 };
 
 /// One pre-generated arrival: when, who, what. job_seed derives from the
@@ -142,8 +150,11 @@ struct TenantStats {
   std::uint64_t lm_router_switches = 0;
 };
 
-struct TenancyReport {
-  double makespan = 0;
+/// One tenancy run's outcome; the shared tail (makespan, lm_*, metrics,
+/// histograms, sim_events, digest) lives in core::RunReport. The lm_*
+/// fields describe the shared cross-job arbiter, whose placer journal
+/// labels each move by tenant.
+struct TenancyReport : core::RunReport {
   double goodput_jobs_per_sec = 0;
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
@@ -158,21 +169,6 @@ struct TenancyReport {
 
   std::vector<TenantStats> tenants;
 
-  std::uint64_t lm_migrations = 0;
-  std::uint64_t lm_router_switches = 0;
-  std::vector<core::LoadManagerEvent> lm_events;
-  /// Structured placer journal of the shared cross-job arbiter (one
-  /// entry per planned move, labeled by tenant); empty when unmanaged.
-  /// lm_managed mirrors whether a manager existed (config-driven), so
-  /// the serialized `placer` block's presence never depends on runtime
-  /// state.
-  bool lm_managed = false;
-  std::vector<core::PlacerDecision> lm_decisions;
-
-  obs::Json metrics;
-  obs::Json histograms;
-  std::uint64_t sim_events = 0;
-  std::uint64_t digest = 0;
   std::uint64_t arrival_fingerprint = 0;
 
   [[nodiscard]] bool ok() const noexcept {
@@ -183,9 +179,8 @@ struct TenancyReport {
 /// Run one multi-tenant serving experiment: N concurrent jobs on one
 /// simulated cluster, seeded open arrivals, admission control, fair-share
 /// charging, and (when configured) cross-job load management. Throws
-/// std::invalid_argument at construction time for a tenant fair-share or
-/// arrival weight <= 0, a non-positive mix weight, a zero offered rate
-/// with jobs to place, or total_jobs > 0 with no tenants.
+/// std::invalid_argument at entry for an invalid config
+/// (TenancyConfig::validate) or machine (core::ClusterRun).
 TenancyReport run_tenancy(const asu::MachineParams& machine,
                           const TenancyConfig& cfg);
 

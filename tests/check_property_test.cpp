@@ -15,90 +15,95 @@ constexpr std::size_t kCases = 100;
 constexpr std::uint64_t kSeed = 0;
 
 TEST(Property, SortedOutputIsPermutationOfInput) {
-  const auto f = check::suite_permutation(kCases, kSeed);
+  const auto f = check::suite("permutation").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, PacketPartialOrderSurvivesEveryRouter) {
-  const auto f = check::suite_packet_order(kCases, kSeed);
+  const auto f = check::suite("packet-order").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, RecordsAndChecksumsAreConserved) {
-  const auto f = check::suite_conservation(kCases, kSeed);
+  const auto f = check::suite("conservation").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, SrRoutingStaysWithinImbalanceBound) {
-  const auto f = check::suite_sr_balance(kCases, kSeed);
+  const auto f = check::suite("sr-balance").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, PredictorTracksEmulatedPass1Time) {
-  const auto f = check::suite_predictor(kCases, kSeed);
+  const auto f = check::suite("predictor").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, DigestsAreStableAcrossReruns) {
-  const auto f = check::suite_digest(kCases, kSeed);
+  const auto f = check::suite("digest").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, ConservationHoldsUnderEveryFaultPlan) {
-  const auto f = check::suite_fault_conservation(kCases, kSeed);
+  const auto f = check::suite("fault-conservation").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, NoPacketIsLostToACrashedReplica) {
-  const auto f = check::suite_fault_routing(kCases, kSeed);
+  const auto f = check::suite("fault-routing").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, RouterHotSwapPreservesPacketOrder) {
-  const auto f = check::suite_lm_switch(kCases, kSeed);
+  const auto f = check::suite("lm-switch").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, MigrationConservesPacketMultiset) {
-  const auto f = check::suite_lm_migration(kCases, kSeed);
+  const auto f = check::suite("lm-migration").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, HistogramQuantilesWithinBoundAndMergeOrderFree) {
-  const auto f = check::suite_histogram(kCases, kSeed);
+  const auto f = check::suite("histogram").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, TenantServingConservesRecordsAndJobs) {
-  const auto f = check::suite_tenant_conservation(kCases, kSeed);
+  const auto f = check::suite("tenant-conservation").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, TenantArrivalsAreSeedDeterministic) {
-  const auto f = check::suite_tenant_arrival(kCases, kSeed);
+  const auto f = check::suite("tenant-arrival").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, ShardedDigestsMatchSerialAtEveryShardCount) {
-  const auto f = check::suite_sharded_digest(kCases, kSeed);
+  const auto f = check::suite("sharded-digest").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, TopologyChoiceNeverChangesConservation) {
-  const auto f = check::suite_topology_conservation(kCases, kSeed);
+  const auto f = check::suite("topology-conservation").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 TEST(Property, PodBalanceContractsHold) {
-  const auto f = check::suite_pod_balance(kCases, kSeed);
+  const auto f = check::suite("pod-balance").run(kCases, kSeed);
+  ASSERT_FALSE(f.has_value()) << f->describe();
+}
+
+TEST(Property, InvalidConfigsAreRejectedAtEntryValidOnesComplete) {
+  const auto f = check::suite("config-fuzz").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
 // The registry the lmas_check driver iterates must cover every suite above.
 TEST(Property, RegistryListsAllSuites) {
-  ASSERT_EQ(check::all_suites().size(), 17u);
+  ASSERT_EQ(check::all_suites().size(), 18u);
   for (const auto& s : check::all_suites()) {
-    EXPECT_NE(s.fn, nullptr) << s.name;
+    EXPECT_NE(s.prop, nullptr) << s.name;
     EXPECT_GE(s.default_cases, 100u) << s.name;
   }
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
+#include "asu/asu.hpp"
 #include "core/core.hpp"
 
 namespace core = lmas::core;
@@ -114,6 +116,43 @@ TEST(DsmSort, OddRecordCountsAndTinyInputs) {
     EXPECT_EQ(rep.records_stored, n);
     EXPECT_EQ(rep.records_final, n);
   }
+}
+
+// ---------- the validation boundary ----------
+//
+// Unchecked, each of these configs reaches an integer division by zero
+// (or an undefined shift) deep inside the run, so both entry points must
+// reject it with std::invalid_argument before anything is built.
+
+TEST(DsmSortValidation, ZeroAlphaThrowsAtEntry) {
+  auto cfg = small_config();
+  cfg.alpha = 0;
+  EXPECT_THROW(core::run_dsm_sort(machine(1, 4), cfg), std::invalid_argument);
+  lmas::sim::Engine eng;
+  asu::Cluster cluster(eng, machine(1, 4));
+  EXPECT_THROW(core::DsmSortJob(eng, cluster, cfg), std::invalid_argument);
+}
+
+TEST(DsmSortValidation, Log2AlphaBetaOf64ThrowsAtEntry) {
+  auto cfg = small_config();
+  cfg.log2_alpha_beta = 64;
+  EXPECT_THROW(core::run_dsm_sort(machine(1, 4), cfg), std::invalid_argument);
+}
+
+TEST(DsmSortValidation, MachineWithoutHostsThrowsAtEntry) {
+  EXPECT_THROW(core::run_dsm_sort(machine(0, 4), small_config()),
+               std::invalid_argument);
+}
+
+TEST(DsmSortValidation, MachineWithoutAsusThrowsAtEntry) {
+  EXPECT_THROW(core::run_dsm_sort(machine(1, 0), small_config()),
+               std::invalid_argument);
+}
+
+TEST(DsmSortValidation, ZeroRecordBytesThrowsAtEntry) {
+  auto mp = machine(1, 4);
+  mp.record_bytes = 0;
+  EXPECT_THROW(core::run_dsm_sort(mp, small_config()), std::invalid_argument);
 }
 
 TEST(DsmSort, DeterministicAcrossRuns) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,31 @@ TEST(Engine, BlockedTaskReportedAsUnfinished) {
   eng.spawn(never_wakes(cv));
   eng.run();
   EXPECT_EQ(eng.unfinished_tasks(), 1u);
+}
+
+TEST(Engine, RunToCompletionNamesBlockedRoots) {
+  sim::Engine eng;
+  sim::Condition cv(eng);
+  std::vector<double> times;
+  eng.spawn(never_wakes(cv), "stuck-waiter");
+  eng.spawn(record_times(eng, times), "finisher");
+  try {
+    eng.run_to_completion("test run");
+    FAIL() << "a root blocked forever must make run_to_completion throw";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("test run deadlocked"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("stuck-waiter"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("finisher"), std::string::npos) << msg;
+  }
+}
+
+TEST(Engine, RunToCompletionReturnsWhenEveryRootFinishes) {
+  sim::Engine eng;
+  std::vector<double> times;
+  eng.spawn(record_times(eng, times), "finisher");
+  EXPECT_EQ(eng.run_to_completion("test run"), 3u);
+  EXPECT_EQ(eng.unfinished_tasks(), 0u);
 }
 
 TEST(Engine, ConditionNotifyWakesWaiters) {

@@ -107,6 +107,26 @@ TEST(Tenancy, InvalidMixAndArrivalConfigsThrow) {
   EXPECT_THROW(tenant::ArrivalProcess{cfg}, std::invalid_argument);
 }
 
+TEST(Tenancy, ZeroJobAlphaThrowsAtEntry) {
+  // Unchecked, it divides by zero inside the first DsmSort job.
+  tenant::TenancyConfig cfg = small_config();
+  cfg.job_alpha = 0;
+  EXPECT_THROW(tenant::run_tenancy(machine(1, 4), cfg),
+               std::invalid_argument);
+  EXPECT_THROW(tenant::ArrivalProcess{cfg}, std::invalid_argument);
+}
+
+TEST(Tenancy, MachineWithoutHostsThrowsAtEntry) {
+  // Unchecked, it divides by zero sizing a DsmSort job's inboxes.
+  EXPECT_THROW(tenant::run_tenancy(machine(0, 4), small_config()),
+               std::invalid_argument);
+}
+
+TEST(Tenancy, MachineWithoutAsusThrowsAtEntry) {
+  EXPECT_THROW(tenant::run_tenancy(machine(1, 0), small_config()),
+               std::invalid_argument);
+}
+
 // ---- zero-admitted-jobs drain ----------------------------------------
 
 TEST(Tenancy, ZeroJobsDrainsWithoutHanging) {

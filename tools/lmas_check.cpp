@@ -131,7 +131,7 @@ int cmd_property(int argc, char** argv) {
                   std::string(s.name).c_str(), n);
     }
     std::fflush(stdout);
-    if (auto failure = s.fn(n, seed)) {
+    if (auto failure = s.run(n, seed)) {
       std::printf("FAIL\n");
       std::fprintf(stderr, "%s\n", failure->describe().c_str());
       return 1;
