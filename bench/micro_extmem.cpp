@@ -1,5 +1,6 @@
 /// Microbenchmarks for the external-memory toolkit kernels (google-
-/// benchmark): run formation, loser-tree merge across fan-ins, alpha-way
+/// benchmark): run formation (std::sort and the radix kernel), loser-tree
+/// merge across fan-ins (type-erased and cursor sources), alpha-way
 /// distribution, external priority queue, and raw stream scan. These are
 /// the primitives whose per-record costs the CostModel declares; the
 /// measured host throughputs justify its constants' order of magnitude.
@@ -53,7 +54,34 @@ void BM_RunFormation(benchmark::State& state) {
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
                           std::int64_t(n));
 }
-BENCHMARK(BM_RunFormation)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+// std::sort above, the generic kernel, beside em::sort_by_key, the stable
+// radix kernel DSM-Sort runs; 128, 4096 and 16384 are run lengths (beta)
+// of the benchmark's workloads.
+BENCHMARK(BM_RunFormation)
+    ->Arg(128)
+    ->Arg(1 << 10)
+    ->Arg(4096)
+    ->Arg(1 << 14)
+    ->Arg(1 << 18);
+
+void BM_RunFormationRadix(benchmark::State& state) {
+  const auto n = std::size_t(state.range(0));
+  const auto data = random_records(n, 2);
+  std::vector<em::KeyRecord> scratch;
+  for (auto _ : state) {
+    auto copy = data;
+    em::sort_by_key(copy, scratch);
+    benchmark::DoNotOptimize(copy.data());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(n));
+}
+BENCHMARK(BM_RunFormationRadix)
+    ->Arg(128)
+    ->Arg(1 << 10)
+    ->Arg(4096)
+    ->Arg(1 << 14)
+    ->Arg(1 << 18);
 
 void BM_LoserTreeMerge(benchmark::State& state) {
   const auto k = std::size_t(state.range(0));
@@ -81,6 +109,30 @@ void BM_LoserTreeMerge(benchmark::State& state) {
                           std::int64_t(k * kPerRun));
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+
+// The same merge with em::RunCursor sources: no type-erased call per
+// record.
+void BM_LoserTreeMergeCursor(benchmark::State& state) {
+  const auto k = std::size_t(state.range(0));
+  constexpr std::size_t kPerRun = 4096;
+  std::vector<std::vector<em::KeyRecord>> runs(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    runs[i] = random_records(kPerRun, 100 + i);
+    std::sort(runs[i].begin(), runs[i].end());
+  }
+  using Cursor = em::RunCursor<em::KeyRecord>;
+  for (auto _ : state) {
+    std::vector<Cursor> sources(runs.begin(), runs.end());
+    em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>, Cursor> tree(
+        std::move(sources));
+    std::uint64_t sum = 0;
+    while (auto r = tree.next()) sum += r->key;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(k * kPerRun));
+}
+BENCHMARK(BM_LoserTreeMergeCursor)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_Distribute(benchmark::State& state) {
   const auto alpha = std::size_t(state.range(0));

@@ -48,10 +48,12 @@ echo "== [5/8] fault + load-manager property suites under ASan/UBSan (reduced ca
 # instance migration is a fresh lifetime surface. config-fuzz feeds
 # random, often invalid configs through both entry points; a missed
 # validation rule there is UB (an oversized shift, a division by zero)
-# that only the sanitizers report reliably.
+# that only the sanitizers report reliably. host-kernels runs the radix
+# sort's ping-pong scatter and the raw-pointer run cursors, where an
+# off-by-one is an out-of-bounds access rather than a wrong answer.
 for suite in fault-conservation fault-routing lm-switch lm-migration \
              tenant-conservation tenant-arrival topology-conservation \
-             migration-economy config-fuzz; do
+             migration-economy config-fuzz host-kernels; do
   UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=1" \
     "${SAN_BUILD}/tools/lmas_check" property --suite "${suite}" --cases 20
 done

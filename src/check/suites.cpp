@@ -20,6 +20,10 @@
 #include "core/adaptive.hpp"
 #include "core/dsm_sort.hpp"
 #include "core/pipeline.hpp"
+#include "core/splitters.hpp"
+#include "extmem/distribute.hpp"
+#include "extmem/merge.hpp"
+#include "extmem/radix_sort.hpp"
 #include "extmem/sort.hpp"
 #include "fault/fault.hpp"
 #include "extmem/stream.hpp"
@@ -1522,6 +1526,123 @@ std::optional<std::string> prop_config_fuzz(sim::Rng& rng, unsigned size) {
   return err;
 }
 
+// ---- host-kernels ----------------------------------------------------
+
+// DSM-Sort's host-side record kernels against the generic code they
+// replaced, on random KeyRecord runs: the radix run formation equals
+// std::stable_sort by key record for record (ids included), the
+// cursor-source LoserTree emits exactly the std::function-source tree's
+// sequence, and the variant bucket classifier equals the type-erased
+// range classifier / std::lower_bound splitter search it replaced.
+std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
+  // Sizes 0, 1, 2, small, beta and 2*beta+odd, beta in [64, 4096].
+  const std::size_t beta = std::size_t(64)
+                           << rng.below(1 + std::min(size, 12u) / 2);
+  const std::size_t sizes[] = {0, 1, 2, 3 + rng.below(60), beta,
+                               2 * beta + 2 * rng.below(8) + 1};
+  const std::size_t n = sizes[rng.below(std::size(sizes))];
+  const core::KeyDist dist = gen_key_dist(rng);
+  core::KeyGenerator gen(dist, n, rng.split());
+  std::vector<em::KeyRecord> run(n);
+  for (std::size_t i = 0; i < n; ++i) run[i] = {gen.next(), std::uint32_t(i)};
+
+  // Key shape: as generated, all equal, constant high 8/16/24 bits (one
+  // subset's keys), or a few distinct values spread over every byte.
+  const unsigned shape = unsigned(rng.below(6));
+  const auto c = std::uint32_t(rng.next());
+  for (auto& r : run) {
+    switch (shape) {
+      case 1: r.key = c; break;
+      case 2: r.key = (c & 0xff000000u) | (r.key & 0x00ffffffu); break;
+      case 3: r.key = (c & 0xffff0000u) | (r.key & 0x0000ffffu); break;
+      case 4: r.key = (c & 0xffffff00u) | (r.key & 0x000000ffu); break;
+      case 5: r.key = (r.key % 5) * 0x01010101u; break;
+      default: break;
+    }
+  }
+  const std::string what =
+      fmt("n=%zu beta=%zu dist=%s shape=%u", n, beta,
+          core::key_dist_name(dist), shape);
+
+  // Run formation, with a scratch vector left over from an unrelated run.
+  std::vector<em::KeyRecord> scratch(rng.below(3 * beta), em::KeyRecord{7, 7});
+  auto want = run;
+  std::stable_sort(want.begin(), want.end());
+  auto got = run;
+  em::sort_by_key(got, scratch);
+  if (got != want) {
+    std::size_t i = 0;
+    while (i < n && got[i] == want[i]) ++i;
+    return fmt("sort_by_key differs from stable_sort at %zu ", i) + what;
+  }
+
+  // Merge: scatter the records over k runs (some possibly empty, with
+  // equal keys across runs), sort each, and merge with both sources.
+  const std::size_t k = 1 + rng.below(std::min<std::size_t>(4 * size, 64));
+  std::vector<std::vector<em::KeyRecord>> runs(k);
+  for (const auto& r : run) runs[rng.below(k)].push_back(r);
+  for (auto& v : runs) std::stable_sort(v.begin(), v.end());
+  std::vector<em::LoserTree<em::KeyRecord>::Source> fn_sources;
+  std::vector<em::RunCursor<em::KeyRecord>> cursors;
+  for (const auto& v : runs) {
+    fn_sources.push_back([&v, pos = std::size_t(0)]() mutable
+                         -> std::optional<em::KeyRecord> {
+      if (pos >= v.size()) return std::nullopt;
+      return v[pos++];
+    });
+    cursors.emplace_back(v);
+  }
+  em::LoserTree<em::KeyRecord> fn_tree(std::move(fn_sources));
+  em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>,
+                em::RunCursor<em::KeyRecord>>
+      cursor_tree(std::move(cursors));
+  for (std::size_t i = 0;; ++i) {
+    const auto a = fn_tree.next();
+    const auto b = cursor_tree.next();
+    if (a != b) {
+      return fmt("cursor merge differs from std::function merge at %zu "
+                 "(k=%zu) ",
+                 i, k) +
+             what;
+    }
+    if (!a) break;
+  }
+
+  // Classifier: range and sampled splitters (from this run's keys, so
+  // skewed or constant keys give duplicate splitters), on every key plus
+  // the extremes and each splitter's neighbourhood.
+  const unsigned alpha = 1 + unsigned(rng.below(256));
+  std::vector<std::uint32_t> sample;
+  for (const auto& r : run) sample.push_back(r.key);
+  const auto splitters = core::choose_splitters(sample, alpha);
+  const em::RangeClassifier<std::uint32_t> range(0, std::uint32_t(-1),
+                                                 alpha);
+  const std::function<std::uint32_t(const em::KeyRecord&)> old_range =
+      [range](const em::KeyRecord& r) { return std::uint32_t(range(r)); };
+  const std::function<std::uint32_t(const em::KeyRecord&)> old_sampled =
+      [splitters](const em::KeyRecord& r) {
+        return std::uint32_t(
+            std::lower_bound(splitters.begin(), splitters.end(), r.key) -
+            splitters.begin());
+      };
+  const core::KeyClassifier new_range(range);
+  const core::KeyClassifier new_sampled{core::SplitterClassifier(splitters)};
+  std::vector<std::uint32_t> probes = {0, std::uint32_t(-1)};
+  for (const std::uint32_t sp : splitters) {
+    probes.insert(probes.end(), {sp - 1, sp, sp + 1});
+  }
+  for (const auto& r : run) probes.push_back(r.key);
+  for (const std::uint32_t key : probes) {
+    const em::KeyRecord r{key, 0};
+    if (new_range(r) != old_range(r) || new_sampled(r) != old_sampled(r)) {
+      return fmt("classifier differs on key %u (alpha=%u, %zu splitters) ",
+                 key, alpha, splitters.size()) +
+             what;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::optional<Failure> SuiteInfo::run(std::size_t cases,
@@ -1557,6 +1678,7 @@ const std::vector<SuiteInfo>& all_suites() {
       {"pod-balance", prop_pod_balance, 16},
       {"migration-economy", prop_migration_economy, 8},
       {"config-fuzz", prop_config_fuzz, 8},
+      {"host-kernels", prop_host_kernels, 16},
   };
   return kSuites;
 }

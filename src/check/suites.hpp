@@ -108,6 +108,15 @@ namespace lmas::check {
 ///                  validation rule says so; every accepted run
 ///                  completes with ok() and conserves its records. A
 ///                  crash, a hang or any other exception fails it.
+///  - host-kernels: differential check of DSM-Sort's host-side record
+///                  kernels against the generic code they replaced —
+///                  em::sort_by_key equals std::stable_sort by key
+///                  (ids included), the RunCursor-source LoserTree emits
+///                  the std::function-source tree's exact sequence, and
+///                  core::KeyClassifier equals the type-erased range
+///                  classifier and the std::lower_bound splitter search,
+///                  over every KeyDist, run sizes 0..2β+odd, all-equal
+///                  keys and keys with constant high bytes.
 
 /// One registered suite: its name (the `--suite` key and report label),
 /// its property, and the size the seeded cases ramp up to.

@@ -8,6 +8,7 @@
 
 #include "core/packet.hpp"
 #include "core/pipeline.hpp"
+#include "extmem/radix_sort.hpp"
 
 namespace lmas::core {
 
@@ -166,13 +167,14 @@ class PacketSortFunctor final : public Functor {
   [[nodiscard]] FunctorCost cost() const override { return cost_; }
 
   void process(Packet&& in, std::vector<Packet>& out) override {
-    std::sort(in.records.begin(), in.records.end());
+    em::sort_by_key(in.records, scratch_);
     in.sorted = true;
     out.push_back(std::move(in));
   }
 
  private:
   FunctorCost cost_;
+  std::vector<em::KeyRecord> scratch_;
 };
 
 }  // namespace lmas::core

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "extmem/distribute.hpp"
 #include "extmem/record.hpp"
 
 namespace lmas::core {
@@ -36,12 +39,23 @@ class SplitterClassifier {
   explicit SplitterClassifier(std::vector<std::uint32_t> splitters)
       : splitters_(std::move(splitters)) {}
 
-  /// Keys equal to a splitter go to the lower bucket.
+  /// Keys equal to a splitter go to the lower bucket. Branchless
+  /// lower-bound search: the same index as std::lower_bound over the
+  /// (sorted, possibly repeating) splitters, with a conditional move in
+  /// place of each data-dependent branch.
   template <typename R>
   [[nodiscard]] std::size_t operator()(const R& r) const {
-    return std::size_t(std::lower_bound(splitters_.begin(), splitters_.end(),
-                                        r.key) -
-                       splitters_.begin());
+    std::size_t n = splitters_.size();
+    if (n == 0) return 0;
+    const std::uint32_t key = r.key;
+    const std::uint32_t* base = splitters_.data();
+    // Invariant: the answer lies in [base, base + n].
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] < key ? base + half : base;
+      n -= half;
+    }
+    return std::size_t(base - splitters_.data()) + (*base < key ? 1 : 0);
   }
 
   [[nodiscard]] unsigned buckets() const noexcept {
@@ -53,6 +67,29 @@ class SplitterClassifier {
 
  private:
   std::vector<std::uint32_t> splitters_;
+};
+
+/// DSM-Sort's bucket classifier: equal-width key ranges or sampled
+/// splitters. The choice is a variant, not a type-erased callable, so both
+/// kernels inline into the per-record loop behind one well-predicted
+/// branch.
+class KeyClassifier {
+ public:
+  explicit KeyClassifier(em::RangeClassifier<std::uint32_t> range)
+      : impl_(range) {}
+  explicit KeyClassifier(SplitterClassifier splitters)
+      : impl_(std::move(splitters)) {}
+
+  [[nodiscard]] std::uint32_t operator()(const em::KeyRecord& r) const {
+    if (const auto* s = std::get_if<SplitterClassifier>(&impl_)) {
+      return std::uint32_t((*s)(r));
+    }
+    return std::uint32_t(
+        (*std::get_if<em::RangeClassifier<std::uint32_t>>(&impl_))(r));
+  }
+
+ private:
+  std::variant<em::RangeClassifier<std::uint32_t>, SplitterClassifier> impl_;
 };
 
 }  // namespace lmas::core

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "extmem/stream.hpp"
@@ -31,12 +32,12 @@ std::vector<std::unique_ptr<Stream<T>>> distribute(
 
 /// Range classifier over keys: bucket i covers one equal-width slice of
 /// [lo, hi); binary-search semantics, ceil(log2 alpha) compares per key.
+/// Throws std::invalid_argument unless alpha >= 1 and lo < hi.
 template <typename Key>
 class RangeClassifier {
  public:
   RangeClassifier(Key lo, Key hi, std::size_t alpha)
-      : lo_(lo), width_((double(hi) - double(lo)) / double(alpha)),
-        alpha_(alpha) {}
+      : lo_(lo), width_(checked_width(lo, hi, alpha)), alpha_(alpha) {}
 
   template <typename R>
   std::size_t operator()(const R& r) const {
@@ -47,6 +48,16 @@ class RangeClassifier {
   }
 
  private:
+  static double checked_width(Key lo, Key hi, std::size_t alpha) {
+    if (alpha == 0) {
+      throw std::invalid_argument("RangeClassifier: alpha must be >= 1");
+    }
+    if (!(lo < hi)) {
+      throw std::invalid_argument("RangeClassifier: requires lo < hi");
+    }
+    return (double(hi) - double(lo)) / double(alpha);
+  }
+
   Key lo_;
   double width_;
   std::size_t alpha_;

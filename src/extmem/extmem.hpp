@@ -7,6 +7,7 @@
 #include "extmem/distribution_sort.hpp"
 #include "extmem/merge.hpp"
 #include "extmem/pqueue.hpp"
+#include "extmem/radix_sort.hpp"
 #include "extmem/record.hpp"
 #include "extmem/scan.hpp"
 #include "extmem/sort.hpp"

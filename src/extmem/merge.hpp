@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "extmem/stream.hpp"
@@ -14,11 +15,17 @@ namespace lmas::em {
 /// ceil(log2 k) — the `n log(gamma)` term in the paper's work accounting.
 /// Ties break toward the lower source index, making the merge stable
 /// across sources.
-template <FixedSizeRecord T, typename Less = std::less<T>>
+///
+/// A source is any callable `() -> std::optional<T>` (nullopt =
+/// exhausted). The default erases its type so mixed inputs share one
+/// tree; a concrete source such as RunCursor lets the compiler inline the
+/// per-record pull.
+template <FixedSizeRecord T, typename Less = std::less<T>,
+          typename Src = std::function<std::optional<T>()>>
 class LoserTree {
  public:
   /// `sources` pull the next record from each input (nullopt = exhausted).
-  using Source = std::function<std::optional<T>()>;
+  using Source = Src;
 
   explicit LoserTree(std::vector<Source> sources, Less less = {})
       : less_(less), k_(sources.size()), sources_(std::move(sources)) {
@@ -83,6 +90,24 @@ class LoserTree {
   std::vector<std::optional<T>> heads_;
   std::vector<std::size_t> heap_;  // indices of live sources, min at front
   std::size_t alive_ = 0;
+};
+
+/// Merge source over an in-memory sorted run: yields its records in order
+/// without type erasure. The run must outlive the cursor.
+template <FixedSizeRecord T>
+class RunCursor {
+ public:
+  explicit RunCursor(std::span<const T> run) noexcept
+      : pos_(run.data()), end_(run.data() + run.size()) {}
+
+  std::optional<T> operator()() noexcept {
+    if (pos_ == end_) return std::nullopt;
+    return *pos_++;
+  }
+
+ private:
+  const T* pos_;
+  const T* end_;
 };
 
 /// Merge whole streams (each already sorted, cursors at the intended start)

@@ -99,9 +99,14 @@ TEST(Property, InvalidConfigsAreRejectedAtEntryValidOnesComplete) {
   ASSERT_FALSE(f.has_value()) << f->describe();
 }
 
+TEST(Property, HostKernelsMatchTheCodeTheyReplaced) {
+  const auto f = check::suite("host-kernels").run(kCases, kSeed);
+  ASSERT_FALSE(f.has_value()) << f->describe();
+}
+
 // The registry the lmas_check driver iterates must cover every suite above.
 TEST(Property, RegistryListsAllSuites) {
-  ASSERT_EQ(check::all_suites().size(), 18u);
+  ASSERT_EQ(check::all_suites().size(), 19u);
   for (const auto& s : check::all_suites()) {
     EXPECT_NE(s.prop, nullptr) << s.name;
     EXPECT_GE(s.default_cases, 100u) << s.name;

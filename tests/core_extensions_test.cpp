@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/core.hpp"
 #include "core/splitters.hpp"
 
@@ -55,6 +57,46 @@ TEST(Splitters, DegenerateCases) {
   core::SplitterClassifier cls(s);
   EXPECT_EQ(cls(lmas::em::KeyRecord{42, 0}), 0u);
   EXPECT_EQ(cls(lmas::em::KeyRecord{43, 0}), 3u);
+}
+
+/// The branchless search must equal std::lower_bound on every key.
+void expect_lower_bound(const std::vector<std::uint32_t>& splitters,
+                        std::uint32_t key) {
+  const core::SplitterClassifier cls(splitters);
+  const auto want = std::size_t(
+      std::lower_bound(splitters.begin(), splitters.end(), key) -
+      splitters.begin());
+  EXPECT_EQ(cls(lmas::em::KeyRecord{key, 0}), want) << "key " << key;
+}
+
+TEST(Splitters, ClassifierMatchesLowerBoundOnDuplicateSplitters) {
+  const std::vector<std::uint32_t> s{5, 5, 5, 9, 9, 20, 20, 20, 20};
+  for (std::uint32_t k = 0; k < 25; ++k) expect_lower_bound(s, k);
+  expect_lower_bound(s, std::uint32_t(-1));
+}
+
+TEST(Splitters, ClassifierOnEmptySplitterList) {
+  const core::SplitterClassifier cls({});
+  EXPECT_EQ(cls.buckets(), 1u);
+  expect_lower_bound({}, 0);
+  expect_lower_bound({}, 17);
+  expect_lower_bound({}, std::uint32_t(-1));
+}
+
+TEST(Splitters, ClassifierAtExtremesAndOnSplitters) {
+  const std::uint32_t kMax = std::uint32_t(-1);
+  for (const std::vector<std::uint32_t>& s :
+       {std::vector<std::uint32_t>{0}, std::vector<std::uint32_t>{kMax},
+        std::vector<std::uint32_t>{0, 1, kMax - 1, kMax},
+        std::vector<std::uint32_t>{3, 10, 100, 1000, 1u << 31, kMax}}) {
+    expect_lower_bound(s, 0);
+    expect_lower_bound(s, kMax);
+    for (const std::uint32_t k : s) {
+      expect_lower_bound(s, k);
+      expect_lower_bound(s, k - 1);
+      expect_lower_bound(s, k + 1);
+    }
+  }
 }
 
 TEST(Splitters, SampledDsmSortBalancesStationarySkew) {

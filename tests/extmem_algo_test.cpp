@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "extmem/extmem.hpp"
@@ -117,6 +118,20 @@ TEST(Merge, HandlesEmptyAndUnevenInputs) {
   EXPECT_EQ(n, 9u);
   out.rewind();
   EXPECT_TRUE(em::is_sorted(out));
+}
+
+TEST(Merge, RunCursorTreeBreaksTiesTowardLowerSource) {
+  const std::vector<em::KeyRecord> a{{5, 100}, {7, 101}};
+  const std::vector<em::KeyRecord> b{{5, 200}, {6, 201}, {7, 202}};
+  const std::vector<em::KeyRecord> c;
+  using Cursor = em::RunCursor<em::KeyRecord>;
+  std::vector<Cursor> sources{Cursor(a), Cursor(c), Cursor(b)};
+  em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>, Cursor> tree(
+      std::move(sources));
+  std::vector<std::uint32_t> ids;
+  while (auto r = tree.next()) ids.push_back(r->id);
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{100, 200, 201, 101, 202}));
+  EXPECT_TRUE(tree.empty());
 }
 
 class MergeFanIn : public ::testing::TestWithParam<std::size_t> {};
@@ -306,6 +321,18 @@ TEST(Distribute, RangeClassifierOrdersBuckets) {
   }
 }
 
+TEST(Distribute, RangeClassifierRejectsZeroBuckets) {
+  EXPECT_THROW(em::RangeClassifier<std::uint32_t>(0, 100, 0),
+               std::invalid_argument);
+}
+
+TEST(Distribute, RangeClassifierRejectsEmptyKeyRange) {
+  EXPECT_THROW(em::RangeClassifier<std::uint32_t>(7, 7, 4),
+               std::invalid_argument);
+  EXPECT_THROW(em::RangeClassifier<std::uint32_t>(9, 3, 4),
+               std::invalid_argument);
+}
+
 TEST(Distribute, UniformKeysBalanceAcrossBuckets) {
   auto keys = random_keys(64000, 31);
   auto in = make_stream(keys);
@@ -314,6 +341,65 @@ TEST(Distribute, UniformKeysBalanceAcrossBuckets) {
   for (auto& b : buckets) {
     EXPECT_NEAR(double(b->size()), 8000.0, 800.0);  // within 10%
   }
+}
+
+// ---------- radix run formation ----------
+
+/// sort_by_key against its exact oracle, std::stable_sort by key.
+void expect_matches_stable_sort(std::vector<em::KeyRecord> run,
+                                std::vector<em::KeyRecord>& scratch) {
+  auto want = run;
+  std::stable_sort(want.begin(), want.end());
+  em::sort_by_key(run, scratch);
+  EXPECT_EQ(run, want);
+}
+
+TEST(RadixSort, TinyRunsIncludingEmpty) {
+  std::vector<em::KeyRecord> scratch;
+  expect_matches_stable_sort({}, scratch);
+  expect_matches_stable_sort({{3, 0}}, scratch);
+  expect_matches_stable_sort({{3, 0}, {1, 1}}, scratch);
+  expect_matches_stable_sort({{2, 0}, {1, 1}, {2, 2}, {1, 3}}, scratch);
+}
+
+TEST(RadixSort, StableOnDuplicateKeysAtEverySize) {
+  std::vector<em::KeyRecord> scratch;
+  for (std::size_t n : {31u, 255u, 256u, 257u, 1000u, 4097u}) {
+    Rng rng(n);
+    std::vector<em::KeyRecord> run(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Few distinct keys spread over all four bytes.
+      run[i] = {std::uint32_t(rng.below(5)) * 0x01010101u, std::uint32_t(i)};
+    }
+    expect_matches_stable_sort(run, scratch);
+  }
+}
+
+TEST(RadixSort, SkipsConstantDigitsAndReusesScratch) {
+  // Constant high bytes (one subset's keys) and all-equal keys leave
+  // an odd number of scatter passes; the result must land in `run`.
+  std::vector<em::KeyRecord> scratch(10000, em::KeyRecord{9, 9});
+  Rng rng(5);
+  std::vector<em::KeyRecord> high(3000), equal(500, em::KeyRecord{77, 0});
+  for (std::size_t i = 0; i < high.size(); ++i) {
+    high[i] = {0xab120000u | std::uint32_t(rng.below(1u << 16)),
+               std::uint32_t(i)};
+  }
+  for (std::size_t i = 0; i < equal.size(); ++i) equal[i].id = std::uint32_t(i);
+  expect_matches_stable_sort(high, scratch);
+  expect_matches_stable_sort(equal, scratch);
+  expect_matches_stable_sort(high, scratch);
+}
+
+TEST(RadixSort, FullRangeKeysAndExtremes) {
+  std::vector<em::KeyRecord> scratch;
+  auto keys = random_keys(20000, 8);
+  keys[0] = 0;
+  keys[1] = std::uint32_t(-1);
+  keys[2] = std::uint32_t(-1);
+  std::vector<em::KeyRecord> run;
+  for (std::uint32_t i = 0; i < keys.size(); ++i) run.push_back({keys[i], i});
+  expect_matches_stable_sort(run, scratch);
 }
 
 // ---------- external priority queue ----------
