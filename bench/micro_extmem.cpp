@@ -1,6 +1,7 @@
 /// Microbenchmarks for the external-memory toolkit kernels (google-
-/// benchmark): run formation (std::sort and the radix kernel), loser-tree
-/// merge across fan-ins (type-erased and cursor sources), alpha-way
+/// benchmark): run formation (std::sort and the radix kernel), k-way
+/// merge across fan-ins (the std::function-source heap and RunMerger's
+/// tournament), alpha-way
 /// distribution, external priority queue, and raw stream scan. These are
 /// the primitives whose per-record costs the CostModel declares; the
 /// measured host throughputs justify its constants' order of magnitude.
@@ -10,6 +11,8 @@
 #include "gbench_tee.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "extmem/extmem.hpp"
 #include "sim/random.hpp"
@@ -110,9 +113,9 @@ void BM_LoserTreeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
-// The same merge with em::RunCursor sources: no type-erased call per
-// record.
-void BM_LoserTreeMergeCursor(benchmark::State& state) {
+// The same merge with em::RunMerger, DSM-Sort's merge: a packed-word
+// tournament, one compare per level, filled into one output buffer.
+void BM_RunMerger(benchmark::State& state) {
   const auto k = std::size_t(state.range(0));
   constexpr std::size_t kPerRun = 4096;
   std::vector<std::vector<em::KeyRecord>> runs(k);
@@ -120,19 +123,21 @@ void BM_LoserTreeMergeCursor(benchmark::State& state) {
     runs[i] = random_records(kPerRun, 100 + i);
     std::sort(runs[i].begin(), runs[i].end());
   }
-  using Cursor = em::RunCursor<em::KeyRecord>;
+  const std::vector<std::span<const em::KeyRecord>> spans(runs.begin(),
+                                                          runs.end());
+  std::vector<em::KeyRecord> out;
+  out.reserve(k * kPerRun);
   for (auto _ : state) {
-    std::vector<Cursor> sources(runs.begin(), runs.end());
-    em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>, Cursor> tree(
-        std::move(sources));
-    std::uint64_t sum = 0;
-    while (auto r = tree.next()) sum += r->key;
-    benchmark::DoNotOptimize(sum);
+    em::RunMerger<em::KeyRecord> merger(spans);
+    out.clear();
+    merger.fill(out, merger.remaining());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
                           std::int64_t(k * kPerRun));
 }
-BENCHMARK(BM_LoserTreeMergeCursor)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_RunMerger)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_Distribute(benchmark::State& state) {
   const auto alpha = std::size_t(state.range(0));

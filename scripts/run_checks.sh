@@ -49,7 +49,8 @@ echo "== [5/8] fault + load-manager property suites under ASan/UBSan (reduced ca
 # random, often invalid configs through both entry points; a missed
 # validation rule there is UB (an oversized shift, a division by zero)
 # that only the sanitizers report reliably. host-kernels runs the radix
-# sort's ping-pong scatter and the raw-pointer run cursors, where an
+# sort's ping-pong scatter and RunMerger's raw-pointer run heads (read one
+# past a run's end and the sentinel word is never formed), where an
 # off-by-one is an out-of-bounds access rather than a wrong answer.
 for suite in fault-conservation fault-routing lm-switch lm-migration \
              tenant-conservation tenant-arrival topology-conservation \

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -1530,10 +1531,11 @@ std::optional<std::string> prop_config_fuzz(sim::Rng& rng, unsigned size) {
 
 // DSM-Sort's host-side record kernels against the generic code they
 // replaced, on random KeyRecord runs: the radix run formation equals
-// std::stable_sort by key record for record (ids included), the
-// cursor-source LoserTree emits exactly the std::function-source tree's
-// sequence, and the variant bucket classifier equals the type-erased
-// range classifier / std::lower_bound splitter search it replaced.
+// std::stable_sort by key record for record (ids included), RunMerger's
+// packed-word tournament, filled in random chunk sizes, emits exactly the
+// std::function-source LoserTree's sequence, and the variant bucket
+// classifier (per key and per batch) equals the type-erased range
+// classifier / std::lower_bound splitter search it replaced.
 std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
   // Sizes 0, 1, 2, small, beta and 2*beta+odd, beta in [64, 4096].
   const std::size_t beta = std::size_t(64)
@@ -1547,8 +1549,9 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
   for (std::size_t i = 0; i < n; ++i) run[i] = {gen.next(), std::uint32_t(i)};
 
   // Key shape: as generated, all equal, constant high 8/16/24 bits (one
-  // subset's keys), or a few distinct values spread over every byte.
-  const unsigned shape = unsigned(rng.below(6));
+  // subset's keys), a few distinct values spread over every byte, or the
+  // top three keys (packed beside RunMerger's exhausted-source word).
+  const unsigned shape = unsigned(rng.below(7));
   const auto c = std::uint32_t(rng.next());
   for (auto& r : run) {
     switch (shape) {
@@ -1557,6 +1560,7 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
       case 3: r.key = (c & 0xffff0000u) | (r.key & 0x0000ffffu); break;
       case 4: r.key = (c & 0xffffff00u) | (r.key & 0x000000ffu); break;
       case 5: r.key = (r.key % 5) * 0x01010101u; break;
+      case 6: r.key = std::uint32_t(-1) - r.key % 3; break;
       default: break;
     }
   }
@@ -1577,35 +1581,41 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
   }
 
   // Merge: scatter the records over k runs (some possibly empty, with
-  // equal keys across runs), sort each, and merge with both sources.
+  // equal keys across runs), sort each, and merge with both mergers.
   const std::size_t k = 1 + rng.below(std::min<std::size_t>(4 * size, 64));
   std::vector<std::vector<em::KeyRecord>> runs(k);
   for (const auto& r : run) runs[rng.below(k)].push_back(r);
   for (auto& v : runs) std::stable_sort(v.begin(), v.end());
   std::vector<em::LoserTree<em::KeyRecord>::Source> fn_sources;
-  std::vector<em::RunCursor<em::KeyRecord>> cursors;
   for (const auto& v : runs) {
     fn_sources.push_back([&v, pos = std::size_t(0)]() mutable
                          -> std::optional<em::KeyRecord> {
       if (pos >= v.size()) return std::nullopt;
       return v[pos++];
     });
-    cursors.emplace_back(v);
   }
   em::LoserTree<em::KeyRecord> fn_tree(std::move(fn_sources));
-  em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>,
-                em::RunCursor<em::KeyRecord>>
-      cursor_tree(std::move(cursors));
-  for (std::size_t i = 0;; ++i) {
-    const auto a = fn_tree.next();
-    const auto b = cursor_tree.next();
-    if (a != b) {
-      return fmt("cursor merge differs from std::function merge at %zu "
-                 "(k=%zu) ",
-                 i, k) +
-             what;
+  std::vector<em::KeyRecord> fn_merged;
+  while (auto r = fn_tree.next()) fn_merged.push_back(*r);
+  const std::vector<std::span<const em::KeyRecord>> spans(runs.begin(),
+                                                          runs.end());
+  em::RunMerger<em::KeyRecord> merger(spans);
+  // Fill chunk: one record, a random size, or more than is left.
+  const std::size_t chunk_sizes[] = {1, 1 + rng.below(2 * beta), n + 1};
+  const std::size_t chunk = chunk_sizes[rng.below(std::size(chunk_sizes))];
+  std::vector<em::KeyRecord> merged;
+  while (merger.fill(merged, chunk) > 0) {
+  }
+  if (merged != fn_merged || !merger.empty()) {
+    std::size_t i = 0;
+    while (i < merged.size() && i < fn_merged.size() &&
+           merged[i] == fn_merged[i]) {
+      ++i;
     }
-    if (!a) break;
+    return fmt("RunMerger differs from std::function merge at %zu "
+               "(k=%zu chunk=%zu) ",
+               i, k, chunk) +
+           what;
   }
 
   // Classifier: range and sampled splitters (from this run's keys, so
@@ -1632,11 +1642,46 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
     probes.insert(probes.end(), {sp - 1, sp, sp + 1});
   }
   for (const auto& r : run) probes.push_back(r.key);
-  for (const std::uint32_t key : probes) {
-    const em::KeyRecord r{key, 0};
-    if (new_range(r) != old_range(r) || new_sampled(r) != old_sampled(r)) {
+  std::vector<std::uint32_t> batch_range(probes.size());
+  std::vector<std::uint32_t> batch_sampled(probes.size());
+  new_range.classify(probes, batch_range);
+  new_sampled.classify(probes, batch_sampled);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const em::KeyRecord r{probes[i], 0};
+    if (new_range(r) != old_range(r) || new_sampled(r) != old_sampled(r) ||
+        batch_range[i] != old_range(r) || batch_sampled[i] != old_sampled(r)) {
       return fmt("classifier differs on key %u (alpha=%u, %zu splitters) ",
-                 key, alpha, splitters.size()) +
+                 probes[i], alpha, splitters.size()) +
+             what;
+    }
+  }
+
+  // Subset check: one subset's records (the sampled classifier's subset
+  // of a random key), sorted or not, possibly with one record of another
+  // subset written over the first, middle, last or a random position.
+  if (n > 0) {
+    const std::uint32_t subset = new_sampled(run[rng.below(n)]);
+    std::vector<em::KeyRecord> members;
+    for (const auto& r : run) {
+      if (new_sampled(r) == subset) members.push_back(r);
+    }
+    if (rng.below(2) == 0) std::stable_sort(members.begin(), members.end());
+    const auto stray =
+        std::find_if(run.begin(), run.end(), [&](const em::KeyRecord& r) {
+          return new_sampled(r) != subset;
+        });
+    if (stray != run.end() && rng.below(2) == 0) {
+      const std::size_t m = members.size();
+      const std::size_t at[] = {0, m / 2, m - 1, rng.below(m)};
+      members[at[rng.below(std::size(at))]] = *stray;
+    }
+    bool want_in = true;
+    for (const auto& r : members) want_in = want_in && new_sampled(r) == subset;
+    const bool sorted = std::is_sorted(members.begin(), members.end());
+    if (core::run_in_subset(new_sampled, members, subset, sorted) != want_in) {
+      return fmt("run_in_subset differs from the per-record check "
+                 "(%zu records, sorted=%d, want %d) ",
+                 members.size(), int(sorted), int(want_in)) +
              what;
     }
   }

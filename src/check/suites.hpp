@@ -111,12 +111,17 @@ namespace lmas::check {
 ///  - host-kernels: differential check of DSM-Sort's host-side record
 ///                  kernels against the generic code they replaced —
 ///                  em::sort_by_key equals std::stable_sort by key
-///                  (ids included), the RunCursor-source LoserTree emits
-///                  the std::function-source tree's exact sequence, and
-///                  core::KeyClassifier equals the type-erased range
-///                  classifier and the std::lower_bound splitter search,
-///                  over every KeyDist, run sizes 0..2β+odd, all-equal
-///                  keys and keys with constant high bytes.
+///                  (ids included); em::RunMerger, filled in chunks of
+///                  1, a random size or more than is left, emits the
+///                  std::function-source LoserTree's exact sequence over
+///                  fan-ins 1..64 with empty runs; core::KeyClassifier
+///                  (per key and per batch) equals the type-erased range
+///                  classifier and the std::lower_bound splitter search;
+///                  core::run_in_subset equals the per-record subset
+///                  check on sorted, unsorted and corrupted runs. Inputs
+///                  cover every KeyDist, run sizes 0..2β+odd, all-equal
+///                  keys, keys with constant high bytes and keys at the
+///                  top of the key space.
 
 /// One registered suite: its name (the `--suite` key and report label),
 /// its property, and the size the seeded cases ramp up to.

@@ -1,9 +1,11 @@
 #include "core/dsm_sort.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -28,6 +30,9 @@ namespace asu_ns = lmas::asu;
 namespace em = lmas::em;
 
 constexpr std::uint32_t kSubsetDoneMarker = 0xffffffffu;
+
+/// Records a distribute instance generates and classifies per batch.
+constexpr std::size_t kDistributeChunk = 256;
 
 /// Fraction of a sort instance's staged records assumed re-dirtied while
 /// a pre-copy bulk transfer runs in the background (the stalled delta on
@@ -463,6 +468,16 @@ class DsmSortSim {
     return base + extra;
   }
 
+  /// One distribute instance's per-subset staging buffers and the state
+  /// that decides when a buffer is flushed as a packet.
+  struct Staging {
+    std::vector<Packet> buffers;     // one per subset
+    std::vector<std::uint32_t> seq;  // next packet seq per subset
+    std::size_t staged_records = 0;
+    std::size_t budget_records = 0;
+    std::uint32_t next_id = 0;
+  };
+
   sim::Task<> distribute_instance(unsigned a) {
     asu_ns::Node& node = cluster_.asu(a);
     obs::Counter& records_done =
@@ -477,11 +492,12 @@ class DsmSortSim {
     asu_ns::Disk::ReadStream rs(node.disk(),
                                 block_records_ * mp_.record_bytes);
 
-    std::vector<Packet> staging(alpha_);
-    std::vector<std::uint32_t> seq(alpha_, 0);
+    Staging st;
+    st.buffers.resize(alpha_);
+    st.seq.assign(alpha_, 0);
     for (unsigned s = 0; s < alpha_; ++s) {
-      staging[s].subset = s;
-      staging[s].records = to_sort_->pool().acquire(packet_records_);
+      st.buffers[s].subset = s;
+      st.buffers[s].records = to_sort_->pool().acquire(packet_records_);
     }
 
     const double per_record_cpu =
@@ -493,11 +509,10 @@ class DsmSortSim {
     // grows past it, the fullest subset buffer is flushed as a (possibly
     // partial) packet. This keeps ASU state bounded while records flow
     // downstream continuously instead of bursting at end-of-input.
-    const std::size_t budget_records = std::max<std::size_t>(
+    st.budget_records = std::max<std::size_t>(
         packet_records_, mp_.asu_memory / mp_.record_bytes / 2);
-    std::size_t staged_records = 0;
+    st.next_id = a * 0x1000000u;
 
-    std::uint32_t next_id = a * 0x1000000u;
     std::size_t remaining = n_local;
     std::vector<Packet> ready;
     while (remaining > 0) {
@@ -512,32 +527,7 @@ class DsmSortSim {
       // collected and emitted after the (possibly measured) CPU charge.
       ready.clear();
       const double w0 = wall_seconds();
-      for (std::size_t i = 0; i < blk; ++i) {
-        const std::uint32_t key = gen.next();
-        checksum_in_[a] += key;
-        ++count_in_[a];
-        const auto s = cfg_.distribute_on_asus
-                           ? classifier_(em::KeyRecord{key, 0})
-                           : 0u;
-        staging[s].records.push_back({key, next_id++});
-        ++staged_records;
-        if (staging[s].records.size() >= packet_records_) {
-          staged_records -= staging[s].records.size();
-          stage_ready(staging[s], seq[s], ready, to_sort_->pool(),
-                      packet_records_);
-        } else if (staged_records >= budget_records) {
-          std::size_t fullest = 0;
-          for (unsigned t = 1; t < alpha_; ++t) {
-            if (staging[t].records.size() >
-                staging[fullest].records.size()) {
-              fullest = t;
-            }
-          }
-          staged_records -= staging[fullest].records.size();
-          stage_ready(staging[fullest], seq[fullest], ready,
-                      to_sort_->pool(), packet_records_);
-        }
-      }
+      distribute_records(a, blk, gen, st, ready);
       const double wall = wall_seconds() - w0;
       records_done.inc(blk);
 
@@ -558,8 +548,8 @@ class DsmSortSim {
     }
     ready.clear();
     for (unsigned s = 0; s < alpha_; ++s) {
-      if (!staging[s].records.empty()) {
-        stage_ready(staging[s], seq[s], ready, to_sort_->pool(),
+      if (!st.buffers[s].records.empty()) {
+        stage_ready(st.buffers[s], st.seq[s], ready, to_sort_->pool(),
                     packet_records_);
       }
     }
@@ -567,6 +557,54 @@ class DsmSortSim {
       co_await to_sort_->emit(node, std::move(pkt));
     }
     to_sort_->producer_done();
+  }
+
+  /// Distribute the next `n` records of ASU a's input in two phases,
+  /// partition then stage, per chunk of kDistributeChunk: generate the
+  /// keys (checksum and count in the same loop), classify them all, then
+  /// stage the records in input order, so flush points are those of a
+  /// per-record loop. Flushed packets go to `ready`. A plain function,
+  /// not part of the coroutine, so the arrays live on the stack rather
+  /// than in every suspended instance's frame.
+  void distribute_records(unsigned a, std::size_t n, KeyGenerator& gen,
+                          Staging& st, std::vector<Packet>& ready) {
+    std::array<std::uint32_t, kDistributeChunk> keys;
+    std::array<std::uint32_t, kDistributeChunk> subsets{};
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t m = std::min(kDistributeChunk, n - done);
+      done += m;
+      std::uint64_t checksum = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        keys[i] = gen.next();
+        checksum += keys[i];
+      }
+      checksum_in_[a] += checksum;
+      count_in_[a] += m;
+      if (cfg_.distribute_on_asus) {
+        classifier_.classify(std::span(keys).first(m), subsets);
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        Packet& slot = st.buffers[subsets[i]];
+        slot.records.push_back({keys[i], st.next_id++});
+        ++st.staged_records;
+        if (slot.records.size() >= packet_records_) {
+          st.staged_records -= slot.records.size();
+          stage_ready(slot, st.seq[subsets[i]], ready, to_sort_->pool(),
+                      packet_records_);
+        } else if (st.staged_records >= st.budget_records) {
+          std::size_t fullest = 0;
+          for (unsigned t = 1; t < alpha_; ++t) {
+            if (st.buffers[t].records.size() >
+                st.buffers[fullest].records.size()) {
+              fullest = t;
+            }
+          }
+          st.staged_records -= st.buffers[fullest].records.size();
+          stage_ready(st.buffers[fullest], st.seq[fullest], ready,
+                      to_sort_->pool(), packet_records_);
+        }
+      }
+    }
   }
 
   /// Flush one staging slot into `ready`, refilling the slot with a
@@ -728,7 +766,7 @@ class DsmSortSim {
   /// Ship one sorted run through `out` as packets of packet_records_.
   sim::Task<> ship_run(StageOutput& out, asu_ns::Node& node,
                        std::uint32_t subset, std::uint32_t run_id,
-                       const std::vector<em::KeyRecord>& records,
+                       std::span<const em::KeyRecord> records,
                        std::uint64_t parent_flow = 0) {
     std::size_t off = 0;
     std::uint32_t seq = 0;
@@ -813,15 +851,13 @@ class DsmSortSim {
       rep.runs_stored += asu_runs.size();
       for (const auto& run : asu_runs) {
         rep.records_stored += run.records.size();
-        if (!std::is_sorted(run.records.begin(), run.records.end())) {
-          rep.runs_sorted_ok = false;
-        }
-        for (const auto& r : run.records) {
-          checksum_out += r.key;
-          if (cfg_.distribute_on_asus &&
-              classifier_(r) != run.subset) {
-            rep.subsets_ok = false;
-          }
+        const bool sorted =
+            std::is_sorted(run.records.begin(), run.records.end());
+        if (!sorted) rep.runs_sorted_ok = false;
+        for (const auto& r : run.records) checksum_out += r.key;
+        if (cfg_.distribute_on_asus &&
+            !run_in_subset(classifier_, run.records, run.subset, sorted)) {
+          rep.subsets_ok = false;
         }
       }
     }
@@ -894,19 +930,19 @@ class DsmSortSim {
       Runs runs;
       for (const auto& run : stored_[a]) {
         if (run.subset == s && !run.records.empty()) {
-          runs.push_back(&run.records);
+          runs.emplace_back(run.records);
         }
       }
       if (!runs.empty()) {
         // Sequential disk read of the runs we are about to merge.
         std::size_t bytes = 0;
-        for (const auto* r : runs) bytes += r->size() * mp_.record_bytes;
+        for (const auto r : runs) bytes += r.size() * mp_.record_bytes;
         co_await node.disk().read(bytes);
 
         if (cfg_.gamma1 == 1 || runs.size() == 1) {
           // No ASU-side merge: ship runs as-is (hosts take full fan-in).
-          for (const auto* r : runs) {
-            co_await ship_run(*to_host_merge_, node, s, next_run_id++, *r);
+          for (const auto r : runs) {
+            co_await ship_run(*to_host_merge_, node, s, next_run_id++, r);
           }
         } else {
           const std::size_t g =
@@ -915,9 +951,8 @@ class DsmSortSim {
                                                        runs.size());
           for (std::size_t base = 0; base < runs.size(); base += g) {
             const std::size_t cnt = std::min(g, runs.size() - base);
-            const auto merged = merge_all(
-                Runs(runs.begin() + std::ptrdiff_t(base),
-                     runs.begin() + std::ptrdiff_t(base + cnt)));
+            const auto merged =
+                merge_all(std::span(runs).subspan(base, cnt));
             co_await node.compute(
                 double(merged.size()) *
                 mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
@@ -936,26 +971,14 @@ class DsmSortSim {
   }
 
   /// Sorted runs to merge, in merge-source order.
-  using Runs = std::vector<const std::vector<em::KeyRecord>*>;
-  using RunCursor = em::RunCursor<em::KeyRecord>;
-  using MergeTree =
-      em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>, RunCursor>;
+  using Runs = std::vector<std::span<const em::KeyRecord>>;
 
-  /// A loser tree streaming the k-way merge of `runs`.
-  static MergeTree merge_tree(const Runs& runs) {
-    std::vector<RunCursor> sources;
-    sources.reserve(runs.size());
-    for (const auto* v : runs) sources.emplace_back(*v);
-    return MergeTree(std::move(sources));
-  }
-
-  static std::vector<em::KeyRecord> merge_all(const Runs& runs) {
-    std::size_t total = 0;
-    for (const auto* v : runs) total += v->size();
-    auto tree = merge_tree(runs);
+  static std::vector<em::KeyRecord> merge_all(
+      std::span<const std::span<const em::KeyRecord>> runs) {
+    em::RunMerger<em::KeyRecord> merger(runs);
     std::vector<em::KeyRecord> out;
-    out.reserve(total);
-    while (auto r = tree.next()) out.push_back(*r);
+    out.reserve(merger.remaining());
+    merger.fill(out, merger.remaining());
     return out;
   }
 
@@ -1011,8 +1034,8 @@ class DsmSortSim {
           next.push_back(std::move(work[base]));
           continue;
         }
-        Runs group;
-        for (std::size_t i = 0; i < cnt; ++i) group.push_back(&work[base + i]);
+        const Runs group(work.begin() + std::ptrdiff_t(base),
+                         work.begin() + std::ptrdiff_t(base + cnt));
         auto merged = merge_all(group);
         co_await node.compute(
             double(merged.size()) *
@@ -1022,9 +1045,8 @@ class DsmSortSim {
       work = std::move(next);
     }
 
-    Runs final_runs;
-    for (const auto& v : work) final_runs.push_back(&v);
-    auto tree = merge_tree(final_runs);
+    const Runs final_runs(work.begin(), work.end());
+    em::RunMerger<em::KeyRecord> merger(final_runs);
     const double per_rec =
         mp_.cost.merge_per_record(unsigned(work.size()), /*on_asu=*/false);
 
@@ -1038,16 +1060,14 @@ class DsmSortSim {
       out.seq = seq++;
       out.sorted = true;
       out.records = to_final_store_->pool().acquire(packet_records_);
-      while (out.records.size() < packet_records_) {
-        auto r = tree.next();
-        if (!r) break;
-        if (!first && r->key < prev_key) final_sorted_ok_ = false;
-        prev_key = r->key;
+      merger.fill(out.records, packet_records_);
+      for (const auto& r : out.records) {
+        if (!first && r.key < prev_key) final_sorted_ok_ = false;
+        prev_key = r.key;
         first = false;
-        if (bounds.count == 0) bounds.min_key = r->key;
-        bounds.max_key = r->key;
+        if (bounds.count == 0) bounds.min_key = r.key;
+        bounds.max_key = r.key;
         ++bounds.count;
-        out.records.push_back(*r);
       }
       if (out.records.empty()) {
         to_final_store_->pool().release(std::move(out.records));
@@ -1104,11 +1124,8 @@ class DsmSortSim {
         const std::size_t n_local = local_share(a);
         if (n_local == 0) continue;
         KeyGenerator gen(cfg_.key_dist, n_local, workload_stream(a));
-        const std::size_t stride = std::max<std::size_t>(1, n_local / 4096);
-        for (std::size_t i = 0; i < n_local; ++i) {
-          const auto k = gen.next();
-          if (i % stride == 0) sample.push_back(k);
-        }
+        sample_keys(gen, n_local, std::max<std::size_t>(1, n_local / 4096),
+                    sample);
       }
       return KeyClassifier(
           SplitterClassifier(choose_splitters(std::move(sample), alpha_)));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -88,8 +89,40 @@ class KeyClassifier {
         (*std::get_if<em::RangeClassifier<std::uint32_t>>(&impl_))(r));
   }
 
+  /// Classify a batch: out[i] is the subset of keys[i], with the variant
+  /// dispatched once per batch rather than once per key. `out` must hold
+  /// at least keys.size() entries.
+  void classify(std::span<const std::uint32_t> keys,
+                std::span<std::uint32_t> out) const {
+    std::visit(
+        [&](const auto& c) {
+          for (std::size_t i = 0; i < keys.size(); ++i) {
+            out[i] = std::uint32_t(c(em::KeyRecord{keys[i], 0}));
+          }
+        },
+        impl_);
+  }
+
  private:
   std::variant<em::RangeClassifier<std::uint32_t>, SplitterClassifier> impl_;
 };
+
+/// Whether every record of `run` classifies to `subset`. Both of
+/// KeyClassifier's kernels are monotone in the key, so when `sorted` says
+/// the caller has checked the run is sorted by key, the first and last
+/// records' subsets bound every other record's and two calls decide. An
+/// unsorted run falls back to classifying every record.
+[[nodiscard]] inline bool run_in_subset(const KeyClassifier& classify,
+                                        std::span<const em::KeyRecord> run,
+                                        std::uint32_t subset, bool sorted) {
+  if (run.empty()) return true;
+  if (sorted) {
+    return classify(run.front()) == subset && classify(run.back()) == subset;
+  }
+  for (const auto& r : run) {
+    if (classify(r) != subset) return false;
+  }
+  return true;
+}
 
 }  // namespace lmas::core

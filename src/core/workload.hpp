@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,6 +57,34 @@ class KeyGenerator {
     return 0;
   }
 
+  /// Advance past the next key without computing it: consumes exactly
+  /// the random draws next() would, so the keys after a skip are the
+  /// keys a plain next() stream would give at those positions. A uniform
+  /// key is one draw; an exponential key repeats its draw while the
+  /// 53-bit uniform would be 0 (Rng::exponential's rejection), with no
+  /// log; sorted keys draw nothing.
+  void skip() {
+    const std::size_t i = emitted_++;
+    switch (dist_) {
+      case KeyDist::Uniform:
+        rng_.next();
+        return;
+      case KeyDist::Exponential:
+        skip_exponential();
+        return;
+      case KeyDist::HalfUniformHalfExp:
+        if (i < total_ / 2) {
+          rng_.next();
+        } else {
+          skip_exponential();
+        }
+        return;
+      case KeyDist::Sorted:
+      case KeyDist::ReverseSorted:
+        return;
+    }
+  }
+
   [[nodiscard]] std::vector<std::uint32_t> take(std::size_t n) {
     std::vector<std::uint32_t> out(n);
     for (auto& k : out) k = next();
@@ -77,6 +106,11 @@ class KeyGenerator {
     return std::uint32_t(x * 4294967296.0);
   }
 
+  void skip_exponential() {
+    while ((rng_.next() >> 11) == 0) {
+    }
+  }
+
   [[nodiscard]] std::uint32_t scale_index(std::size_t i) const {
     if (total_ <= 1) return 0;
     return std::uint32_t((double(i) / double(total_ - 1)) * 4294967295.0);
@@ -87,5 +121,20 @@ class KeyGenerator {
   sim::Rng rng_;
   std::size_t emitted_ = 0;
 };
+
+/// Append every `stride`-th of `gen`'s next `n` keys (positions 0,
+/// stride, 2*stride, ... < n) to `sample`. The keys in between are
+/// skip()ped rather than computed; the kept keys equal those of a plain
+/// next() stream.
+inline void sample_keys(KeyGenerator& gen, std::size_t n, std::size_t stride,
+                        std::vector<std::uint32_t>& sample) {
+  assert(stride >= 1);
+  if (n == 0) return;
+  sample.push_back(gen.next());
+  for (std::size_t i = stride; i < n; i += stride) {
+    for (std::size_t j = 1; j < stride; ++j) gen.skip();
+    sample.push_back(gen.next());
+  }
+}
 
 }  // namespace lmas::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -11,11 +10,6 @@
 #include "extmem/record.hpp"
 
 namespace lmas::em {
-
-/// Records that carry a 32-bit `key` member (KeyRecord, Record128).
-template <typename T>
-concept Key32Record =
-    FixedSizeRecord<T> && std::same_as<decltype(T::key), std::uint32_t>;
 
 /// Run formation: stable LSD radix sort of `run` on its 32-bit key, one
 /// byte per digit. A single counting pass builds all four digit

@@ -45,6 +45,11 @@ struct KeyRecord {
 static_assert(sizeof(KeyRecord) == 8);
 static_assert(FixedSizeRecord<KeyRecord>);
 
+/// Records that carry a 32-bit `key` member (KeyRecord, Record128).
+template <typename T>
+concept Key32Record =
+    FixedSizeRecord<T> && std::same_as<decltype(T::key), std::uint32_t>;
+
 /// Default key extractor: anything with a `.key` member.
 struct KeyOf {
   template <typename T>

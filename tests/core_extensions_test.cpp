@@ -99,6 +99,98 @@ TEST(Splitters, ClassifierAtExtremesAndOnSplitters) {
   }
 }
 
+constexpr core::KeyDist kAllDists[] = {
+    core::KeyDist::Uniform, core::KeyDist::Exponential,
+    core::KeyDist::HalfUniformHalfExp, core::KeyDist::Sorted,
+    core::KeyDist::ReverseSorted};
+
+TEST(Splitters, StrideSampleMatchesFullGeneration) {
+  // sample_keys skip()s between kept keys; its sample, and so the
+  // splitters, must equal keeping every stride-th key of a full stream.
+  // Shares below 4096 (stride 1), dividing by 4096, and not dividing.
+  for (const auto dist : kAllDists) {
+    for (const std::size_t share :
+         {std::size_t(1), std::size_t(1000), std::size_t(4096),
+          std::size_t(3 * 4096), std::size_t(3 * 4096 + 1234),
+          std::size_t(8191)}) {
+      const std::size_t stride = std::max<std::size_t>(1, share / 4096);
+      core::KeyGenerator full(dist, share, sim::Rng(share + 5));
+      std::vector<std::uint32_t> want;
+      for (std::size_t i = 0; i < share; ++i) {
+        const auto k = full.next();
+        if (i % stride == 0) want.push_back(k);
+      }
+      core::KeyGenerator stepped(dist, share, sim::Rng(share + 5));
+      std::vector<std::uint32_t> got;
+      core::sample_keys(stepped, share, stride, got);
+      ASSERT_EQ(got, want) << core::key_dist_name(dist) << " share " << share;
+      for (const unsigned alpha : {2u, 16u, 64u}) {
+        EXPECT_EQ(core::choose_splitters(got, alpha),
+                  core::choose_splitters(want, alpha))
+            << core::key_dist_name(dist) << " share " << share;
+      }
+    }
+  }
+}
+
+/// The check run_in_subset replaces: classify every record.
+bool every_record_in_subset(const core::KeyClassifier& c,
+                            const std::vector<lmas::em::KeyRecord>& run,
+                            std::uint32_t subset) {
+  for (const auto& r : run) {
+    if (c(r) != subset) return false;
+  }
+  return true;
+}
+
+TEST(Splitters, RunInSubsetMatchesPerRecordCheck) {
+  sim::Rng rng(31);
+  core::KeyGenerator exp_keys(core::KeyDist::Exponential, 4000, sim::Rng(32));
+  const core::KeyClassifier classifiers[] = {
+      core::KeyClassifier(
+          lmas::em::RangeClassifier<std::uint32_t>(0, std::uint32_t(-1), 8)),
+      core::KeyClassifier(core::SplitterClassifier(
+          core::choose_splitters(exp_keys.take(4000), 16)))};
+  std::size_t caught_only_by_fallback = 0;
+  for (const auto& c : classifiers) {
+    for (int trial = 0; trial < 400; ++trial) {
+      // One subset's records (the subset of a random key): keys drawn
+      // uniformly, kept if they land in it.
+      const auto subset = c(lmas::em::KeyRecord{std::uint32_t(rng.next()), 0});
+      std::vector<lmas::em::KeyRecord> run;
+      const std::size_t want_len = rng.below(40);
+      for (int tries = 0; run.size() < want_len && tries < 20000; ++tries) {
+        const lmas::em::KeyRecord r{std::uint32_t(rng.next()),
+                                    std::uint32_t(tries)};
+        if (c(r) == subset) run.push_back(r);
+      }
+      const unsigned kind = unsigned(trial % 3);  // sorted, unsorted, injected
+      if (kind != 1) std::sort(run.begin(), run.end());
+      if (kind == 2 && !run.empty()) {
+        lmas::em::KeyRecord stray{};
+        do {
+          stray.key = std::uint32_t(rng.next());
+        } while (c(stray) == subset);
+        // Half the time the middle record: the run stays sorted around
+        // it only if the stray's key were in range, which it cannot be.
+        const std::size_t at =
+            rng.below(2) == 0 ? run.size() / 2 : rng.below(run.size());
+        run[at] = stray;
+      }
+      const bool sorted = std::is_sorted(run.begin(), run.end());
+      const bool want = every_record_in_subset(c, run, subset);
+      EXPECT_EQ(core::run_in_subset(c, run, subset, sorted), want)
+          << "trial " << trial << " size " << run.size();
+      if (kind == 2 && run.size() >= 3 && !want &&
+          c(run.front()) == subset && c(run.back()) == subset) {
+        EXPECT_FALSE(sorted);
+        ++caught_only_by_fallback;
+      }
+    }
+  }
+  EXPECT_GT(caught_only_by_fallback, 50u);
+}
+
 TEST(Splitters, SampledDsmSortBalancesStationarySkew) {
   // Exponential keys: range buckets are badly skewed, sampled splitters
   // even them out — visible through the static-routing host shares.

@@ -247,6 +247,40 @@ TEST(Workload, DeterministicForSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(g1.next(), g2.next());
 }
 
+constexpr core::KeyDist kAllDists[] = {
+    core::KeyDist::Uniform, core::KeyDist::Exponential,
+    core::KeyDist::HalfUniformHalfExp, core::KeyDist::Sorted,
+    core::KeyDist::ReverseSorted};
+
+TEST(Workload, SkipConsumesExactlyTheDrawsOfNext) {
+  // Any skip()/next() interleaving yields, at the kept positions, the
+  // keys of a plain next() stream: random interleavings at three skip
+  // rates, plus a run of skips straddling HalfUniformHalfExp's midpoint.
+  const std::size_t n = 2001;
+  for (const auto dist : kAllDists) {
+    core::KeyGenerator plain(dist, n, sim::Rng(21));
+    const auto want = plain.take(n);
+    // 0 stands for the midpoint pattern: skip only positions n/2 +- 3.
+    for (const std::uint64_t skip_per_mille : {100u, 500u, 990u, 0u}) {
+      core::KeyGenerator gen(dist, n, sim::Rng(21));
+      sim::Rng pattern(skip_per_mille + 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool skip = skip_per_mille == 0
+                              ? (i >= n / 2 - 3 && i <= n / 2 + 3)
+                              : pattern.below(1000) < skip_per_mille;
+        if (skip) {
+          gen.skip();
+        } else {
+          ASSERT_EQ(gen.next(), want[i])
+              << core::key_dist_name(dist) << " position " << i
+              << " skip rate " << skip_per_mille << "/1000";
+        }
+        EXPECT_EQ(gen.emitted(), i + 1);
+      }
+    }
+  }
+}
+
 // ---------- packet / functor cost ----------
 
 TEST(Packet, WireBytesUsesModeledRecordSize) {

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -120,18 +122,115 @@ TEST(Merge, HandlesEmptyAndUnevenInputs) {
   EXPECT_TRUE(em::is_sorted(out));
 }
 
-TEST(Merge, RunCursorTreeBreaksTiesTowardLowerSource) {
+TEST(Merge, RunMergerBreaksTiesTowardLowerSource) {
   const std::vector<em::KeyRecord> a{{5, 100}, {7, 101}};
   const std::vector<em::KeyRecord> b{{5, 200}, {6, 201}, {7, 202}};
   const std::vector<em::KeyRecord> c;
-  using Cursor = em::RunCursor<em::KeyRecord>;
-  std::vector<Cursor> sources{Cursor(a), Cursor(c), Cursor(b)};
-  em::LoserTree<em::KeyRecord, std::less<em::KeyRecord>, Cursor> tree(
-      std::move(sources));
+  const std::vector<std::span<const em::KeyRecord>> runs{a, c, b};
+  em::RunMerger<em::KeyRecord> merger(runs);
+  EXPECT_EQ(merger.remaining(), 5u);
+  std::vector<em::KeyRecord> out;
+  EXPECT_EQ(merger.fill(out, 99), 5u);
   std::vector<std::uint32_t> ids;
-  while (auto r = tree.next()) ids.push_back(r->id);
+  for (const auto& r : out) ids.push_back(r.id);
   EXPECT_EQ(ids, (std::vector<std::uint32_t>{100, 200, 201, 101, 202}));
-  EXPECT_TRUE(tree.empty());
+  EXPECT_TRUE(merger.empty());
+}
+
+// The std::function-source LoserTree's full output over `runs`.
+std::vector<em::KeyRecord> loser_tree_merge(
+    const std::vector<std::vector<em::KeyRecord>>& runs) {
+  std::vector<em::LoserTree<em::KeyRecord>::Source> sources;
+  for (const auto& v : runs) {
+    sources.push_back([&v, pos = std::size_t(0)]() mutable
+                      -> std::optional<em::KeyRecord> {
+      if (pos >= v.size()) return std::nullopt;
+      return v[pos++];
+    });
+  }
+  em::LoserTree<em::KeyRecord> tree(std::move(sources));
+  std::vector<em::KeyRecord> out;
+  while (auto r = tree.next()) out.push_back(*r);
+  return out;
+}
+
+// RunMerger's full output over `runs`, filled `chunk` records at a time
+// after a sentinel record that fill() must append after, not overwrite.
+std::vector<em::KeyRecord> run_merger_merge(
+    const std::vector<std::vector<em::KeyRecord>>& runs, std::size_t chunk) {
+  const std::vector<std::span<const em::KeyRecord>> spans(runs.begin(),
+                                                          runs.end());
+  em::RunMerger<em::KeyRecord> merger(spans);
+  std::vector<em::KeyRecord> out{{1, 0xdeadu}};
+  while (!merger.empty()) {
+    const std::size_t before = merger.remaining();
+    const std::size_t got = merger.fill(out, chunk);
+    EXPECT_EQ(got, std::min(chunk, before));
+    EXPECT_EQ(merger.remaining(), before - got);
+  }
+  EXPECT_EQ(merger.fill(out, chunk), 0u);
+  EXPECT_EQ(out.front(), (em::KeyRecord{1, 0xdeadu}));
+  out.erase(out.begin());
+  return out;
+}
+
+// Records with ids unique across runs, keys drawn by `key`, each run
+// sorted stably; every third run (when `with_empty`) is left empty.
+template <typename KeyFn>
+std::vector<std::vector<em::KeyRecord>> make_runs(std::size_t k, Rng& rng,
+                                                  bool with_empty,
+                                                  KeyFn key) {
+  std::vector<std::vector<em::KeyRecord>> runs(k);
+  std::uint32_t id = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (with_empty && i % 3 == 1) continue;
+    runs[i].resize(rng.below(200));
+    for (auto& r : runs[i]) r = {key(rng), id++};
+    std::stable_sort(runs[i].begin(), runs[i].end());
+  }
+  return runs;
+}
+
+class RunMergerFanIn : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RunMergerFanIn, MatchesLoserTreeRecordForRecord) {
+  const std::size_t k = GetParam();
+  Rng rng(500 + k);
+  const auto uniform = [](Rng& r) { return std::uint32_t(r.next()); };
+  const auto few = [](Rng& r) { return std::uint32_t(r.below(4)); };
+  const auto all_equal = [](Rng&) { return std::uint32_t(77); };
+  const auto top = [](Rng& r) { return std::uint32_t(-1 - r.below(3)); };
+  const std::vector<std::vector<std::vector<em::KeyRecord>>> cases = {
+      make_runs(k, rng, false, uniform), make_runs(k, rng, true, uniform),
+      make_runs(k, rng, true, few),      make_runs(k, rng, false, all_equal),
+      make_runs(k, rng, true, top)};
+  for (const auto& runs : cases) {
+    const auto want = loser_tree_merge(runs);
+    for (const std::size_t chunk : {std::size_t(1), std::size_t(13),
+                                    want.size() + 1}) {
+      EXPECT_EQ(run_merger_merge(runs, chunk), want)
+          << "k=" << k << " chunk=" << chunk;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FanIns, RunMergerFanIn,
+                         ::testing::Values(1, 2, 3, 17, 64));
+
+TEST(Merge, RunMergerKeysBesideTheExhaustedSentinel) {
+  // 0xFFFFFFFF keys pack to words just below the exhausted-source word
+  // ~0: they must still be emitted, in source order, after every smaller
+  // key, and an all-empty merge emits nothing.
+  const std::uint32_t top = 0xFFFFFFFFu;
+  const std::vector<std::vector<em::KeyRecord>> runs = {
+      {{top, 1}}, {}, {{0, 2}, {top, 3}, {top, 4}}, {{top - 1, 5}}};
+  const auto got = run_merger_merge(runs, 2);
+  EXPECT_EQ(got, loser_tree_merge(runs));
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_EQ(got.back(), (em::KeyRecord{top, 4}));
+
+  const std::vector<std::vector<em::KeyRecord>> empty(5);
+  EXPECT_TRUE(run_merger_merge(empty, 3).empty());
 }
 
 class MergeFanIn : public ::testing::TestWithParam<std::size_t> {};
