@@ -1,6 +1,6 @@
 /// fig_scale — hierarchical scale-out: simulated load balance at D ∈
-/// {64, 256, 1024} ASUs on the sharded engine, beside the analytic
-/// mean-field model.
+/// {64, 256, 1024} ASUs on the serial coroutine engine, beside the
+/// analytic mean-field model.
 ///
 /// Each cell is an open queueing system on a hierarchical TopologySpec
 /// (racks of ASUs under an oversubscribed spine): H hosts emit Poisson
@@ -24,10 +24,11 @@
 /// arrivals more evenly than Poisson splitting, so it lands BELOW its
 /// d=1 bound.
 ///
-/// Runs on sim::ShardedEngine (lookahead = asu::shard_lookahead(topo),
-/// the per-tier latency floor), so LMAS_SHARDS exercises the
-/// conservative-window path; digests are shard-count invariant. Cells
-/// are a SweepSpec evaluated LMAS_JOBS-wide; the artifact
+/// The run also checks the accepted shape at every D and folds it into
+/// `ok` and the exit code: sr and pod2 sit below rnd at q>=2, ll below
+/// pod2, and rnd's q>=1 tail is within 5% of its mean-field value.
+///
+/// Cells are a SweepSpec evaluated LMAS_JOBS-wide; the artifact
 /// BENCH_fig_scale.json is bit-identical serial vs. parallel. Each
 /// result entry carries per-rack balance histograms ("rack.queue.<r>":
 /// the distribution of per-ASU mean queue length inside rack r) that
@@ -47,7 +48,7 @@
 #include "obs/latency.hpp"
 #include "obs/report.hpp"
 #include "sim/random.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
 
 namespace asu = lmas::asu;
 namespace core = lmas::core;
@@ -71,10 +72,13 @@ struct Cell {
 
 constexpr double kRho = 0.8;            // offered load per unit capacity
 constexpr double kServiceMean = 0.010;  // seconds, exp(μ) with μ = 100/s
+constexpr double kMu = 1.0 / kServiceMean;
 constexpr double kHorizon = 3.0;        // simulated seconds per cell
+constexpr int kSlices = 12;             // run() calls per cell, reaping between
 constexpr double kWarmup = 1.2;         // probes start here
 constexpr double kProbePeriod = 0.020;  // queue-length sampling interval
 constexpr std::size_t kTailMax = 8;     // tail depth i = 1..kTailMax
+constexpr unsigned kAsuGrid[] = {64, 256, 1024};
 
 const char* policy_key(Policy p) {
   switch (p) {
@@ -122,34 +126,19 @@ asu::TopologySpec make_topology(const Cell& cell) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-engine model
+// Coroutine model
 //
-// Logical nodes: [0, H) hosts, [H, H+D) ASUs, H+D the load board. All
-// handler state is owned by the node it belongs to (hosts draw from
-// ctx.rng(), the board's router RNG is board-local), so digests are
-// shard-count invariant by the engine's contract.
-
-constexpr std::uint64_t kTagShift = 56;
-enum PayloadTag : std::uint64_t {
-  kGen = 1,    // host self-tick: emit one arrival, reschedule
-  kRoute = 2,  // host -> board: route this task
-  kTask = 3,   // board -> ASU: enqueue
-  kDone = 4,   // ASU self-tick: service completion
-  kReport = 5, // ASU -> board: decrement in-system count
-  kProbe = 6,  // ASU self-tick: sample queue length
-};
-
-constexpr std::uint64_t word(PayloadTag tag) {
-  return std::uint64_t(tag) << kTagShift;
-}
-constexpr PayloadTag tag_of(std::uint64_t payload) {
-  return PayloadTag(payload >> kTagShift);
-}
+// One process per task lifecycle (host -> board -> ASU queue -> report
+// back to the board), one arrival generator per host and one queue probe
+// per ASU. Hosts and ASUs draw from their own named random streams, so a
+// node's draws never depend on how other nodes interleave.
 
 struct AsuState {
   std::uint64_t queue = 0;   // tasks in queue incl. the one in service
   std::uint64_t served = 0;
   double speed = 1.0;        // service-rate multiplier
+  double free_at = 0;        // FIFO server: when the last queued task ends
+  sim::Rng rng;
   std::uint64_t probes = 0;
   double queue_sum = 0;                       // Σ sampled queue lengths
   std::vector<std::uint64_t> queue_tally;     // [min(q, kCap)] counts
@@ -160,7 +149,6 @@ struct AsuState {
 struct CellResult {
   Cell cell;
   unsigned hosts = 0, racks = 0;
-  double lookahead = 0;
   std::uint64_t events = 0;
   std::uint64_t digest = 0;
   std::uint64_t routed = 0;
@@ -173,6 +161,61 @@ struct CellResult {
   std::vector<std::uint64_t> asu_served;   // per ASU
   std::vector<unsigned> asu_rack;          // per ASU
 };
+
+/// State shared by one cell's processes. The board's per-ASU in-system
+/// counts are incremented when a task is routed and decremented when its
+/// completion report arrives, so the load view is one path latency stale.
+struct Model {
+  std::unique_ptr<core::RoutingPolicy> policy;
+  std::vector<core::RouteTarget> targets;  // synthetic, nodeless
+  core::Packet pkt;                        // subset 0 throughout
+  std::vector<std::int64_t> counts;
+  std::vector<AsuState> asus;
+  std::vector<double> host_delay;  // host -> board
+  std::vector<double> asu_delay;   // board <-> ASU
+  double host_rate = 0;
+  CellResult& res;
+  sim::Engine eng;  // last: its task frames die before the state above
+
+  explicit Model(CellResult& r) : res(r) {}
+};
+
+sim::Task<> task_life(Model& m, unsigned h) {
+  co_await m.eng.sleep(m.host_delay[h]);
+  const std::size_t a = m.policy->pick(m.pkt, m.targets);
+  ++m.counts[a];
+  ++m.res.routed;
+  co_await m.eng.sleep(m.asu_delay[a]);
+  AsuState& st = m.asus[a];
+  ++st.queue;
+  st.free_at = std::max(st.free_at, m.eng.now()) +
+               st.rng.exponential(kMu * st.speed);
+  co_await m.eng.sleep(st.free_at - m.eng.now());
+  --st.queue;
+  ++st.served;
+  co_await m.eng.sleep(m.asu_delay[a]);
+  if (--m.counts[a] < 0) m.res.counts_ok = false;
+  ++m.res.served;
+}
+
+sim::Task<> host_arrivals(Model& m, unsigned h, sim::Rng rng) {
+  co_await m.eng.sleep(1e-6 * double(h + 1));
+  for (;;) {
+    m.eng.spawn(task_life(m, h));
+    co_await m.eng.sleep(rng.exponential(m.host_rate));
+  }
+}
+
+sim::Task<> asu_probe(Model& m, unsigned a) {
+  co_await m.eng.sleep(kWarmup);
+  AsuState& st = m.asus[a];
+  for (;;) {
+    ++st.probes;
+    st.queue_sum += double(st.queue);
+    ++st.queue_tally[std::min<std::uint64_t>(st.queue, AsuState::kCap)];
+    co_await m.eng.sleep(kProbePeriod);
+  }
+}
 
 /// Supermarket-model stationary tail: P(queue >= i) = ρ^((d^i − 1)/(d − 1)).
 /// The exponent is built iteratively (e_i = d·e_{i−1} + 1) and capped so
@@ -192,127 +235,64 @@ CellResult run_cell(const Cell& cell) {
   const asu::TopologySpec topo = make_topology(cell);
   const unsigned H = topo.machine.num_hosts;
   const unsigned D = topo.machine.num_asus;
-  const std::uint32_t board = H + D;
 
   CellResult res;
   res.cell = cell;
   res.hosts = H;
   res.racks = topo.racks;
-  res.lookahead = asu::shard_lookahead(topo);
 
-  // Board-owned routing state: the policy plus per-ASU in-system counts
-  // (incremented when a task is routed, decremented when its completion
-  // report arrives — the load view is one path latency stale).
-  std::vector<std::int64_t> counts(D, 0);
+  Model m(res);
+  m.counts.assign(D, 0);
   const core::LoadProbe board_probe =
-      [&counts](std::span<const core::RouteTarget>, std::size_t i) {
-        return double(counts[i]);
+      [&m](std::span<const core::RouteTarget>, std::size_t i) {
+        return double(m.counts[i]);
       };
   sim::Rng router_rng(sim::fnv1a64(cell.key) ^ (std::uint64_t(D) << 32));
-  std::unique_ptr<core::RoutingPolicy> policy;
   switch (cell.policy) {
     case Policy::Sr:
-      policy = std::make_unique<core::SimpleRandomizationRouter>(router_rng);
+      m.policy = std::make_unique<core::SimpleRandomizationRouter>(router_rng);
       break;
     case Policy::Rnd:
-      policy = std::make_unique<core::PowerOfDChoicesRouter>(router_rng, 1,
-                                                             board_probe);
+      m.policy = std::make_unique<core::PowerOfDChoicesRouter>(router_rng, 1,
+                                                               board_probe);
       break;
     case Policy::Pod2:
-      policy = std::make_unique<core::PowerOfDChoicesRouter>(router_rng, 2,
-                                                             board_probe);
+      m.policy = std::make_unique<core::PowerOfDChoicesRouter>(router_rng, 2,
+                                                               board_probe);
       break;
     case Policy::Ll:
-      policy = std::make_unique<core::LeastLoadedRouter>(board_probe);
+      m.policy = std::make_unique<core::LeastLoadedRouter>(board_probe);
       break;
   }
-  const std::vector<core::RouteTarget> targets(D);  // synthetic, nodeless
-  core::Packet pkt;                                 // subset 0 throughout
+  m.targets.resize(D);
 
-  std::vector<AsuState> asus(D);
+  const sim::Rng streams(0x5ca1ab1eu ^ sim::fnv1a64(cell.key));
+  const unsigned board_rack = 0;
+  m.asus.resize(D);
   double capacity = 0;  // Σ speed · μ
   for (unsigned a = 0; a < D; ++a) {
-    asus[a].speed = topo.asu_multiplier(a);
-    capacity += asus[a].speed / kServiceMean;
+    m.asus[a].speed = topo.asu_multiplier(a);
+    m.asus[a].rng = streams.stream(sim::stream_id("asu", a));
+    m.asu_delay.push_back(topo.path_latency(board_rack, topo.rack_of_asu(a)));
+    capacity += m.asus[a].speed * kMu;
   }
-  const double host_rate = kRho * capacity / double(H);
-  const double mu = 1.0 / kServiceMean;
-
-  const unsigned board_rack = 0;
-  auto host_delay = [&](unsigned h) {
-    return topo.path_latency(topo.rack_of_host(h), board_rack);
-  };
-  auto asu_delay = [&](unsigned a) {
-    return topo.path_latency(board_rack, topo.rack_of_asu(a));
-  };
-
-  sim::ShardedParams params;
-  params.shards = 0;    // LMAS_SHARDS (1 when unset)
-  params.workers = 1;   // cells already run LMAS_JOBS-wide via the sweep
-  params.lookahead = res.lookahead;
-  params.seed = 0x5ca1ab1eu ^ sim::fnv1a64(cell.key);
-
-  sim::ShardedEngine eng(
-      board + 1, params,
-      [&](sim::ShardContext& ctx, const sim::ShardEvent& ev) {
-        switch (tag_of(ev.payload)) {
-          case kGen: {
-            const unsigned h = unsigned(ctx.node());
-            ctx.send(board, host_delay(h), word(kRoute));
-            ctx.post(ctx.rng().exponential(host_rate), word(kGen));
-            break;
-          }
-          case kRoute: {
-            const std::size_t idx = policy->pick(pkt, targets);
-            ++counts[idx];
-            ++res.routed;
-            ctx.send(H + std::uint32_t(idx), asu_delay(unsigned(idx)),
-                     word(kTask));
-            break;
-          }
-          case kTask: {
-            AsuState& st = asus[unsigned(ctx.node()) - H];
-            if (++st.queue == 1) {
-              ctx.post(ctx.rng().exponential(mu * st.speed), word(kDone));
-            }
-            break;
-          }
-          case kDone: {
-            const unsigned a = unsigned(ctx.node()) - H;
-            AsuState& st = asus[a];
-            --st.queue;
-            ++st.served;
-            ctx.send(board, asu_delay(a), word(kReport));
-            if (st.queue > 0) {
-              ctx.post(ctx.rng().exponential(mu * st.speed), word(kDone));
-            }
-            break;
-          }
-          case kReport: {
-            const std::int64_t c = --counts[unsigned(ev.src) - H];
-            if (c < 0) res.counts_ok = false;
-            ++res.served;
-            break;
-          }
-          case kProbe: {
-            AsuState& st = asus[unsigned(ctx.node()) - H];
-            ++st.probes;
-            st.queue_sum += double(st.queue);
-            ++st.queue_tally[std::min<std::uint64_t>(st.queue, AsuState::kCap)];
-            ctx.post(kProbePeriod, word(kProbe));
-            break;
-          }
-        }
-      });
-
+  m.host_rate = kRho * capacity / double(H);
   for (unsigned h = 0; h < H; ++h) {
-    eng.inject(h, h, 1e-6 * double(h + 1), word(kGen));
+    m.host_delay.push_back(topo.path_latency(topo.rack_of_host(h), board_rack));
+    m.eng.spawn(host_arrivals(m, h, streams.stream(sim::stream_id("host", h))));
   }
-  for (unsigned a = 0; a < D; ++a) {
-    eng.inject(H + a, H + a, kWarmup, word(kProbe));
+  for (unsigned a = 0; a < D; ++a) m.eng.spawn(asu_probe(m, a));
+
+  // Run to the horizon in slices, reaping finished task frames between
+  // them so the root list stays as short as the in-flight task count.
+  for (int k = 1; k <= kSlices; ++k) {
+    m.eng.run(kHorizon * double(k) / double(kSlices));
+    m.eng.reap_completed();
   }
-  res.events = eng.run(kHorizon);
-  res.digest = eng.digest();
+  res.events = m.eng.events_processed();
+  res.digest = m.eng.digest();
+  const std::vector<std::int64_t>& counts = m.counts;
+  const std::vector<AsuState>& asus = m.asus;
 
   // In-system tasks at the horizon must reconcile with the board's view.
   std::int64_t outstanding = 0;
@@ -396,7 +376,6 @@ obs::Json cell_entry(const CellResult& r) {
   entry["racks"] = double(r.racks);
   entry["hetero"] = r.cell.hetero;
   entry["rho"] = kRho;
-  entry["lookahead_s"] = r.lookahead;
   entry["events"] = double(r.events);
   entry["tasks_routed"] = double(r.routed);
   entry["tasks_served"] = double(r.served);
@@ -440,11 +419,43 @@ obs::Json cell_entry(const CellResult& r) {
   return entry;
 }
 
+/// EXPERIMENTS' accepted shape at every machine size, on the homogeneous
+/// cells (the hetero cell is exempt: the model assumes one μ). Prints
+/// each violation; returns true when there are none.
+bool shape_holds(const std::vector<CellResult>& results) {
+  bool ok = true;
+  for (unsigned d : kAsuGrid) {
+    const CellResult* by_policy[4] = {};
+    for (const CellResult& r : results) {
+      if (!r.cell.hetero && r.cell.asus == d) {
+        by_policy[int(r.cell.policy)] = &r;
+      }
+    }
+    const auto require = [&](bool cond, const char* what) {
+      if (!cond) std::printf("# shape FAILED at D=%u: %s\n", d, what);
+      ok &= cond;
+    };
+    if (std::find(std::begin(by_policy), std::end(by_policy), nullptr) !=
+        std::end(by_policy)) {
+      require(false, "missing a router cell");
+      continue;
+    }
+    const auto q2 = [&](Policy p) { return by_policy[int(p)]->sim_tail[2]; };
+    require(q2(Policy::Sr) < q2(Policy::Rnd), "sr P(q>=2) not below rnd's");
+    require(q2(Policy::Pod2) < q2(Policy::Rnd),
+            "pod2 P(q>=2) not below rnd's");
+    require(q2(Policy::Ll) < q2(Policy::Pod2), "ll P(q>=2) not below pod2's");
+    const double err = rel_err(*by_policy[int(Policy::Rnd)], 1);
+    require(err >= 0 && err <= 0.05, "rnd rel_err at i=1 above 5%");
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main() {
   std::vector<Cell> cells;
-  for (unsigned d : {64u, 256u, 1024u}) {
+  for (unsigned d : kAsuGrid) {
     for (Policy p : {Policy::Sr, Policy::Rnd, Policy::Pod2, Policy::Ll}) {
       cells.push_back({policy_key(p), p, d, false});
     }
@@ -513,6 +524,9 @@ int main() {
               stats.cells, stats.jobs, stats.wall_clock_s, total_events);
   std::printf("# validation: %s\n",
               all_ok ? "all cells conserve tasks" : "FAILURES");
+  const bool shape_ok = shape_holds(results);
+  std::printf("# shape: %s\n", shape_ok ? "accepted at every D" : "FAILURES");
+  all_ok &= shape_ok;
   report.root()["ok"] = all_ok;
   if (report.write()) {
     std::printf("# bench artifact: %s\n", report.path().c_str());

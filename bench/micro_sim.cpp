@@ -132,55 +132,6 @@ void BM_EngineEventsPerSec(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventsPerSec)->Arg(256)->Arg(4096)->Arg(32768);
 
-/// Sharded-engine throughput on a PHOLD-style topology: mostly-local
-/// event churn with a few percent cross-node hops (delay >= lookahead =
-/// the MachineParams default link latency, 50us), the regime the
-/// conservative window design targets. Args are {nodes, shards};
-/// shards=1 is the serial fast path, and BM_EngineEventsPerSec above is
-/// the serial coroutine-engine baseline the speedup claim compares
-/// against. Sharding wins twice: worker threads process shards in
-/// parallel, and each shard's event heap is nodes/shards deep, so every
-/// pop sifts through fewer levels — which is why shards well beyond the
-/// worker count keep helping. UseRealTime makes events_per_sec an
-/// honest wall-clock aggregate (the default CPU-time rate only meters
-/// the coordinating thread, which sleeps while workers run).
-void BM_ShardedEventsPerSec(benchmark::State& state) {
-  const auto nodes = std::uint32_t(state.range(0));
-  const auto shards = std::uint32_t(state.range(1));
-  constexpr double kLookahead = 50e-6;
-  const auto handler = [](sim::ShardContext& ctx, const sim::ShardEvent& ev) {
-    if ((ev.payload & 0x1F) == 0) {  // ~3% of events hop to another node
-      sim::Rng& rng = ctx.rng();
-      const std::uint32_t n = ctx.engine().node_count();
-      auto dst = sim::LogicalNode(rng.below(n));
-      if (dst == ctx.node()) dst = (dst + 1) % n;
-      ctx.send(dst, kLookahead * (1.0 + rng.uniform()), ev.payload + 1);
-    } else {
-      ctx.post(1.1e-6, ev.payload + 1);
-    }
-  };
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    sim::ShardedEngine eng(nodes, {.shards = shards, .lookahead = kLookahead},
-                           handler);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-      eng.inject(n, n, 1e-9 * double(n), n);
-    }
-    events += eng.run(2e-3);
-    benchmark::DoNotOptimize(eng.digest());
-  }
-  state.SetItemsProcessed(std::int64_t(events));
-  state.counters["events_per_sec"] =
-      benchmark::Counter(double(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ShardedEventsPerSec)
-    ->Args({256, 1})
-    ->Args({256, 32})
-    ->Args({1024, 1})
-    ->Args({1024, 32})
-    ->Args({1024, 128})
-    ->UseRealTime();
-
 void BM_RngThroughput(benchmark::State& state) {
   sim::Rng rng(1);
   for (auto _ : state) {

@@ -6,9 +6,9 @@
 # sanitizers, since degraded-mode delivery (crash/retry/park) is exactly
 # where lifetime bugs would hide.
 #
-# plus a ThreadSanitizer pass over the two places in the tree where
-# threads share state: the parallel sweep executor and the sharded
-# engine's window loop (shard workers + coordinator outbox routing).
+# plus a ThreadSanitizer pass over par::Executor, the only place in the
+# tree where threads share state (the simulator itself starts no threads;
+# the executor runs whole sweep cells side by side).
 #
 # Usage: scripts/run_checks.sh [build-dir] [sanitizer-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -19,23 +19,23 @@ SAN_BUILD="${2:-build-san}"
 TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== [1/8] configure + build (${BUILD})"
+echo "== [1/7] configure + build (${BUILD})"
 cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD}" -j "${JOBS}"
 
-echo "== [2/8] tier-1 tests"
+echo "== [2/7] tier-1 tests"
 ctest --test-dir "${BUILD}" -L tier1 --output-on-failure
 
-echo "== [3/8] configure + build with sanitizers (${SAN_BUILD})"
+echo "== [3/7] configure + build with sanitizers (${SAN_BUILD})"
 cmake -S . -B "${SAN_BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLMAS_SANITIZE=address,undefined
 cmake --build "${SAN_BUILD}" -j "${JOBS}"
 
-echo "== [4/8] tier-1 tests under ASan/UBSan"
+echo "== [4/7] tier-1 tests under ASan/UBSan"
 UBSAN_OPTIONS="halt_on_error=1" ASAN_OPTIONS="detect_leaks=1" \
   ctest --test-dir "${SAN_BUILD}" -L tier1 --output-on-failure
 
-echo "== [5/8] fault + load-manager property suites under ASan/UBSan (reduced cases)"
+echo "== [5/7] fault + load-manager property suites under ASan/UBSan (reduced cases)"
 # Degraded-mode delivery (crash/retry/park) and mid-run reconfiguration
 # (router hot-swap, functor migration re-pinning live endpoints) are the
 # two places lifetime bugs would hide; the tenant suites add concurrent
@@ -59,28 +59,17 @@ for suite in fault-conservation fault-routing lm-switch lm-migration \
     "${SAN_BUILD}/tools/lmas_check" property --suite "${suite}" --cases 20
 done
 
-echo "== [6/8] build executor + sharded-engine tests under TSan (${TSAN_BUILD})"
+echo "== [6/7] build executor tests under TSan (${TSAN_BUILD})"
 cmake -S . -B "${TSAN_BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DLMAS_SANITIZE=thread
-cmake --build "${TSAN_BUILD}" -j "${JOBS}" --target par_tests sim_tests
+cmake --build "${TSAN_BUILD}" -j "${JOBS}" --target par_tests
 
-echo "== [7/8] executor tests under TSan (LMAS_JOBS stressed)"
+echo "== [7/7] executor tests under TSan (LMAS_JOBS stressed)"
 # Run the whole par suite at several jobs counts: the golden digest test
 # inside exercises real engine workloads across the pool.
 for j in 2 8; do
   TSAN_OPTIONS="halt_on_error=1" LMAS_JOBS="${j}" \
     "${TSAN_BUILD}/tests/par_tests"
-done
-
-echo "== [8/8] sharded engine under TSan (worker counts stressed)"
-# The conservative-window loop is the other threaded component: shard
-# workers own disjoint heaps/node state mid-window, the coordinator
-# routes outboxes at barriers (DESIGN.md §14). LMAS_JOBS drives the
-# default worker count; the digest-equality tests inside compare
-# serial vs multi-shard runs under each pool size.
-for j in 2 8; do
-  TSAN_OPTIONS="halt_on_error=1" LMAS_JOBS="${j}" \
-    "${TSAN_BUILD}/tests/sim_tests" --gtest_filter='ShardMap.*:ShardedEngine.*'
 done
 
 echo "== all checks passed"

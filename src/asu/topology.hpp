@@ -142,26 +142,4 @@ struct TopologySpec {
   }
 };
 
-/// Conservative lookahead for sharded simulation of this topology
-/// (sim::ShardedEngine, DESIGN.md §14): the per-tier latency floor — the
-/// minimum virtual time any cross-node message needs to propagate through
-/// any tier it might traverse. Every transfer pays at least the rack
-/// tier's latency and fault delay windows only ever add, so the rack
-/// latency alone would bound same-rack influence; taking the minimum over
-/// all charged tiers stays conservative for any shard-to-rack alignment.
-/// Returns 0 for a degenerate zero-latency topology; the sharded engine
-/// rejects that at shards > 1.
-[[nodiscard]] inline double shard_lookahead(const TopologySpec& topo) noexcept {
-  double floor = topo.rack.latency;
-  if (topo.hierarchical()) floor = std::min(floor, topo.spine.latency);
-  return floor > 0 ? floor : 0.0;
-}
-
-/// Flat-machine overload: the link-latency floor, identical to
-/// shard_lookahead(TopologySpec::flat(params)).
-[[nodiscard]] inline double shard_lookahead(
-    const MachineParams& params) noexcept {
-  return params.link_latency > 0 ? params.link_latency : 0.0;
-}
-
 }  // namespace lmas::asu

@@ -998,86 +998,6 @@ std::optional<std::string> prop_tenant_arrival(sim::Rng& rng,
   return std::nullopt;
 }
 
-// ---- sharded-digest: shard-count invariance of the parallel engine ----
-//
-// A random PHOLD-style topology (node count, lookahead, hop probability,
-// RNG seed all drawn per case) must produce a bit-identical canonical
-// digest — and event count — when run serially (1 shard) and under
-// conservative time windows at 2 and 4 shards. This is the ShardedEngine
-// determinism contract (DESIGN.md §14) exercised over random models
-// rather than the fixed unit-test workload. Each case also pins the
-// zero-lookahead contract: a topology with no cross-shard latency must be
-// rejected at construction, not discovered as a deadlocked window loop.
-
-std::optional<std::string> prop_sharded_digest(sim::Rng& rng,
-                                               unsigned size) {
-  const auto nodes = std::uint32_t(4 + rng.below(8 * size));
-  const double lookahead = 1e-5 * double(1 + rng.below(20));
-  const double hop_prob = 0.2 + 0.6 * rng.uniform();
-  const std::uint64_t model_seed = rng.next();
-  const double horizon = 0.02;
-
-  struct Hopper {
-    double lookahead;
-    double hop_prob;
-    void operator()(sim::ShardContext& ctx,
-                    const sim::ShardEvent& ev) const {
-      sim::Rng& r = ctx.rng();
-      const std::uint32_t n = ctx.engine().node_count();
-      if (r.uniform() < hop_prob && n > 1) {
-        auto dst = sim::LogicalNode(r.below(n));
-        if (dst == ctx.node()) dst = (dst + 1) % n;
-        ctx.send(dst, lookahead * (1.0 + r.uniform()), ev.payload + 1);
-      } else {
-        ctx.post(r.exponential(1000.0), ev.payload);
-      }
-    }
-  };
-
-  const auto run_at = [&](std::uint32_t shards) {
-    sim::ShardedEngine eng(
-        nodes,
-        {.shards = shards, .lookahead = lookahead, .seed = model_seed},
-        Hopper{lookahead, hop_prob});
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-      eng.inject(n, n, 1e-6 * double(n % 5), n);
-    }
-    const std::uint64_t events = eng.run(horizon);
-    return std::pair{eng.digest(), events};
-  };
-
-  const auto [serial_digest, serial_events] = run_at(1);
-  if (serial_events == 0) {
-    return fmt("degenerate case: no events (nodes=%u)", nodes);
-  }
-  for (const std::uint32_t shards : {2u, 4u}) {
-    const auto [digest, events] = run_at(shards);
-    if (events != serial_events) {
-      return fmt("event count diverged at %u shards: %llu vs %llu "
-                 "(nodes=%u lookahead=%g hop=%g)",
-                 shards, static_cast<unsigned long long>(events),
-                 static_cast<unsigned long long>(serial_events), nodes,
-                 lookahead, hop_prob);
-    }
-    if (digest != serial_digest) {
-      return fmt("digest diverged at %u shards "
-                 "(nodes=%u lookahead=%g hop=%g)",
-                 shards, nodes, lookahead, hop_prob);
-    }
-  }
-
-  // Zero cross-shard latency: must throw, not deadlock (or quietly run).
-  const auto zero_shards = std::uint32_t(2 + rng.below(3));
-  try {
-    sim::ShardedEngine bad(nodes, {.shards = zero_shards, .lookahead = 0.0},
-                           Hopper{0.0, hop_prob});
-    return fmt("zero lookahead accepted at %u shards", zero_shards);
-  } catch (const std::invalid_argument&) {
-    // expected
-  }
-  return std::nullopt;
-}
-
 // ---- topology conservation -----------------------------------------
 
 std::optional<std::string> prop_topology_conservation(sim::Rng& rng,
@@ -1700,8 +1620,8 @@ std::optional<Failure> SuiteInfo::run(std::size_t cases,
   return forall(opt, prop);
 }
 
-// Whole-simulation suites (every DSM-Sort, tenancy, sharded or
-// routed-plan run per case) cap their size at 8 to keep a 100-case
+// Whole-simulation suites (every DSM-Sort, tenancy or routed-plan
+// run per case) cap their size at 8 to keep a 100-case
 // suite interactive; the pure-model suites scale further.
 const std::vector<SuiteInfo>& all_suites() {
   static const std::vector<SuiteInfo> kSuites = {
@@ -1718,7 +1638,6 @@ const std::vector<SuiteInfo>& all_suites() {
       {"histogram", prop_histogram, 16},
       {"tenant-conservation", prop_tenant_conservation, 8},
       {"tenant-arrival", prop_tenant_arrival, 8},
-      {"sharded-digest", prop_sharded_digest, 8},
       {"topology-conservation", prop_topology_conservation, 8},
       {"pod-balance", prop_pod_balance, 16},
       {"migration-economy", prop_migration_economy, 8},

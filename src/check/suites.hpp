@@ -74,11 +74,6 @@ namespace lmas::check {
 ///                  fingerprint, and execution digest; every arrival is
 ///                  well-formed against its tenant's mix; a different
 ///                  seed moves the fingerprint.
-///  - sharded-digest: the ShardedEngine determinism contract — a random
-///                  PHOLD-style topology produces bit-identical canonical
-///                  digests and event counts at 1, 2 and 4 shards, and a
-///                  zero-lookahead topology is rejected at construction
-///                  instead of deadlocking the window loop.
 ///  - topology-conservation: placement-freedom of the set contract — the
 ///                  same DSM-Sort conserves records, checksums, subset
 ///                  boundaries and run-sortedness whether it runs on the

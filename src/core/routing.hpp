@@ -168,7 +168,7 @@ class SimpleRandomizationRouter final : public RoutingPolicy {
 /// target node's queued CPU work — exactly the information the load
 /// manager is entitled to (declared functor costs produce a CPU backlog
 /// per node). Callers routing over synthetic target sets (no asu::Node
-/// behind them — e.g. the sharded-engine scale bench) supply their own
+/// behind them — e.g. the fig_scale queueing bench) supply their own
 /// probe instead.
 using LoadProbe = std::function<double(std::span<const RouteTarget>,
                                        std::size_t)>;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -36,51 +37,27 @@ struct Batch {
   std::atomic<std::size_t> remaining{0};
 };
 
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// Bounded spin before parking on a condition variable. A futex
-/// sleep/wake round-trip costs ~100µs+ on the machines we run on; a
-/// windowed simulation publishes a new batch every few hundred µs, so
-/// spinning for a fraction of that keeps the pool hot across
-/// back-to-back batches while still sleeping through long idle gaps.
-constexpr int kSpinIters = 16384;
-
 }  // namespace
 
 struct Executor::Impl {
   std::mutex mu;
   std::condition_variable wake;  // workers: new batch or shutdown
   std::condition_variable done;  // caller: batch drained
-  std::atomic<std::uint64_t> generation{0};  // written under mu
+  std::uint64_t generation = 0;  // bumped per published batch
   bool stop = false;
-  std::atomic<bool> batch_done{false};  // written under mu
+  bool batch_done = false;
   std::shared_ptr<Batch> current;
   std::vector<std::thread> workers;
 
   void worker_loop() {
     std::uint64_t seen = 0;
     for (;;) {
-      // Spin-then-park: if the next batch lands within the spin budget
-      // the condvar predicate is already true when we reach wait() and
-      // no sleep (hence no expensive wake) happens.
-      for (int spin = 0; spin < kSpinIters; ++spin) {
-        if (generation.load(std::memory_order_acquire) != seen) break;
-        cpu_relax();
-      }
       std::shared_ptr<Batch> batch;
       {
         std::unique_lock lock(mu);
-        wake.wait(lock, [&] {
-          return stop || generation.load(std::memory_order_relaxed) != seen;
-        });
+        wake.wait(lock, [&] { return stop || generation != seen; });
         if (stop) return;
-        seen = generation.load(std::memory_order_relaxed);
+        seen = generation;
         batch = current;
       }
       // `current` may already be null: if the batch drained before this
@@ -101,7 +78,7 @@ struct Executor::Impl {
       }
       if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard lock(mu);
-        batch_done.store(true, std::memory_order_release);
+        batch_done = true;
         done.notify_all();
       }
     }
@@ -148,24 +125,16 @@ void Executor::for_each_index(std::size_t n,
   {
     std::lock_guard lock(impl_->mu);
     impl_->current = batch;
-    impl_->batch_done.store(false, std::memory_order_relaxed);
-    impl_->generation.fetch_add(1, std::memory_order_release);
+    impl_->batch_done = false;
+    ++impl_->generation;
   }
   impl_->wake.notify_all();
   // The caller is a runner too: claim indices alongside the pool instead
   // of sleeping through the batch.
   impl_->run_slice(*batch);
-  // Only workers still draining their last claimed index remain; spin
-  // briefly for that tail before paying a condvar sleep.
-  for (int spin = 0; spin < kSpinIters; ++spin) {
-    if (impl_->batch_done.load(std::memory_order_acquire)) break;
-    cpu_relax();
-  }
   {
     std::unique_lock lock(impl_->mu);
-    impl_->done.wait(lock, [&] {
-      return impl_->batch_done.load(std::memory_order_relaxed);
-    });
+    impl_->done.wait(lock, [&] { return impl_->batch_done; });
     impl_->current.reset();
   }
   for (auto& e : errors) {

@@ -5,7 +5,6 @@
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"

@@ -249,23 +249,4 @@ TEST(Network, HostNicAggregatesAcrossLinks) {
   EXPECT_NEAR(done[1], 2.0, 1e-6);  // host NIC serializes the two receives
 }
 
-TEST(ShardLookahead, DerivedFromMinimumLinkLatency)  {
-  // The conservative window width for sharded simulation of this machine
-  // is the floor every cross-node message pays: link_latency (fault delay
-  // windows only ever add to it). Degenerate latencies map to 0, which
-  // ShardedEngine rejects for shards > 1.
-  asu::MachineParams mp;
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(mp), mp.link_latency);
-  mp.link_latency = 2e-4;
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(mp), 2e-4);
-  mp.link_latency = 0.0;
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(mp), 0.0);
-  mp.link_latency = -1.0;
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(mp), 0.0);
-  EXPECT_THROW(
-      sim::ShardedEngine(4, {.shards = 2, .lookahead = asu::shard_lookahead(mp)},
-                         [](sim::ShardContext&, const sim::ShardEvent&) {}),
-      std::invalid_argument);
-}
-
 }  // namespace

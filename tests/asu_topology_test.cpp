@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "asu/asu.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/sim.hpp"
 
 namespace sim = lmas::sim;
@@ -241,65 +240,6 @@ TEST(Topology, FlatSpecClusterMatchesMachineParamsClusterExactly) {
   EXPECT_EQ(legacy_eng.digest(), topo_eng.digest());
   EXPECT_GT(legacy_eng.now(), 0.0);
   EXPECT_DOUBLE_EQ(legacy_eng.now(), topo_eng.now());
-}
-
-TEST(ShardLookahead, TopologyPerTierLatencyFloor) {
-  const auto p = small_params();
-  // Flat spec == flat-machine overload == link latency.
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(asu::TopologySpec::flat(p)),
-                   asu::shard_lookahead(p));
-
-  auto t = two_tier();  // rack 0.5, spine 0.25
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(t), 0.25);
-  t.spine.latency = 2.0;  // floor moves to the rack tier
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(t), 0.5);
-  t.spine.latency = 0.0;  // degenerate tier: no conservative window
-  EXPECT_DOUBLE_EQ(asu::shard_lookahead(t), 0.0);
-  EXPECT_THROW(
-      sim::ShardedEngine(4, {.shards = 2, .lookahead = asu::shard_lookahead(t)},
-                         [](sim::ShardContext&, const sim::ShardEvent&) {}),
-      std::invalid_argument);
-}
-
-TEST(ShardLookahead, ShardedDigestPinnedOnTwoTierTopology) {
-  // Regression for the lookahead derivation: a deterministic routed-hop
-  // workload whose send delays are exactly the two-tier path latencies
-  // must commit the same digest at every shard count when the window is
-  // asu::shard_lookahead(topo) — if the derivation ever exceeded the true
-  // per-tier floor, the spine-latency hops would violate the
-  // send-delay >= lookahead contract and throw.
-  const auto topo = two_tier();
-  const double lookahead = asu::shard_lookahead(topo);
-  ASSERT_DOUBLE_EQ(lookahead, 0.25);
-
-  auto run_at = [&](std::uint32_t shards) {
-    const std::uint32_t n = 16;  // 4 per "rack" of 4
-    auto handler = [&](sim::ShardContext& ctx, const sim::ShardEvent& ev) {
-      if (ev.payload >= 64) return;  // bounded cascade
-      const std::uint32_t dst =
-          std::uint32_t((ev.payload * 2654435761u + ctx.node()) % n);
-      const bool cross = (dst / 4) != (ctx.node() / 4);
-      // Same-rack hops pay the rack latency, cross-rack the spine+rack
-      // path; both are >= the per-tier floor the engine windows on.
-      const double delay =
-          cross ? topo.rack.latency + topo.spine.latency : topo.rack.latency;
-      if (dst == ctx.node()) {
-        ctx.post(delay, ev.payload + 1);
-      } else {
-        ctx.send(dst, delay, ev.payload + 1);
-      }
-    };
-    sim::ShardedEngine eng(n, {.shards = shards, .lookahead = lookahead},
-                           handler);
-    for (std::uint32_t i = 0; i < n; ++i) eng.inject(i, i, 0.0, i % 5);
-    eng.run();
-    return eng.digest();
-  };
-
-  const std::uint64_t serial = run_at(1);
-  EXPECT_EQ(run_at(2), serial);
-  EXPECT_EQ(run_at(4), serial);
-  EXPECT_NE(serial, 0xcbf29ce484222325ULL);  // something actually committed
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 // change. See EXPERIMENTS.md, "Reproducing a run".
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -53,31 +52,6 @@ TEST(Golden, ExecutionUnmovedByTelemetry) {
     EXPECT_TRUE(on.ok) << c.name;
     EXPECT_NE(on.metrics_fingerprint, off.metrics_fingerprint)
         << c.name << ": opting in should register latency instruments";
-  }
-}
-
-// The sharded-engine compatibility gate: the pinned golden workloads run
-// on the serial coroutine engine, which never consults LMAS_SHARDS — the
-// variable selects a shard count only for sim::ShardedEngine models. The
-// pinned digests therefore must be bit-identical with the variable set,
-// unset, or garbage. If this test ever fails, golden workloads started
-// depending on the sharding environment, which would silently fork the
-// pinned baselines by machine configuration.
-TEST(Golden, PinnedDigestsUnmovedByShardsEnvironment) {
-  const std::string path = check::default_golden_path();
-  const auto pinned = check::load_goldens(path);
-  ASSERT_TRUE(pinned.has_value())
-      << "cannot load " << path << " (regenerate with: make regolden)";
-  ASSERT_EQ(setenv("LMAS_SHARDS", "4", 1), 0);
-  std::vector<check::GoldenResult> fresh;
-  for (const auto& c : check::golden_cases()) {
-    fresh.push_back(check::run_golden_case(c));
-  }
-  ASSERT_EQ(unsetenv("LMAS_SHARDS"), 0);
-  for (const auto& m : check::compare_goldens(*pinned, fresh)) {
-    ADD_FAILURE() << m.name << " at LMAS_SHARDS=4: " << m.detail
-                  << "\n  (golden workloads run the serial engine and must "
-                     "not consult the sharding environment)";
   }
 }
 

@@ -206,6 +206,54 @@ TEST(Engine, ReapErasesTraceNamesWithFrames) {
   EXPECT_EQ(eng.traced_root_names(), 0u);
 }
 
+sim::Task<> leaf(sim::Engine& eng, double dt, int& live) {
+  co_await eng.sleep(dt);
+  --live;
+}
+
+// A root that keeps spawning short-lived roots for as long as it runs.
+sim::Task<> spawner(sim::Engine& eng, double period, int& live) {
+  for (int i = 0;; ++i) {
+    ++live;
+    eng.spawn(leaf(eng, period * double(1 + i % 7), live), "leaf");
+    co_await eng.sleep(period);
+  }
+}
+
+TEST(Engine, SlicedRunWithReapsMatchesOneRun) {
+  // Running to a horizon in slices, reaping finished roots between
+  // slices, must commit exactly what one run(horizon) commits, even
+  // while roots spawn new roots mid-run. Tracing on the sliced engine
+  // (digest-neutral) makes its held roots countable: traced names live
+  // exactly as long as their frames.
+  constexpr double kHorizon = 1.0;
+  constexpr int kSlices = 8;
+  int whole_live = 0, sliced_live = 0;
+  sim::Engine whole, sliced;
+  sliced.tracer().enable();
+  for (const double period : {0.013, 0.007}) {
+    whole.spawn(spawner(whole, period, whole_live), "spawner");
+    sliced.spawn(spawner(sliced, period, sliced_live), "spawner");
+  }
+
+  whole.run(kHorizon);
+  for (int k = 1; k <= kSlices; ++k) {
+    sliced.run(kHorizon * double(k) / double(kSlices));
+    sliced.reap_completed();
+  }
+  EXPECT_GT(whole.events_processed(), 200u);
+  EXPECT_EQ(sliced.events_processed(), whole.events_processed());
+  EXPECT_EQ(sliced.digest(), whole.digest());
+  EXPECT_EQ(sliced.now(), whole.now());
+  // What remains is exactly the live roots: both spawners plus the
+  // leaves still asleep at the horizon.
+  ASSERT_GT(sliced_live, 0);
+  EXPECT_EQ(sliced_live, whole_live);
+  EXPECT_EQ(sliced.unfinished_tasks(), std::size_t(sliced_live) + 2);
+  EXPECT_EQ(sliced.traced_root_names(), sliced.unfinished_tasks());
+  EXPECT_EQ(whole.unfinished_tasks(), sliced.unfinished_tasks());
+}
+
 // Awaitable that reschedules its coroutine at an absolute (possibly
 // past) time — the hostile input for the schedule_at clamp.
 struct ScheduleAt {
