@@ -1,5 +1,6 @@
 /// Microbenchmarks for the external-memory toolkit kernels (google-
-/// benchmark): run formation (std::sort and the radix kernel), k-way
+/// benchmark): run formation (std::sort and both paths of the radix
+/// kernel, on inputs the branch predictor has not seen), k-way
 /// merge across fan-ins (the std::function-source heap and RunMerger's
 /// tournament), alpha-way
 /// distribution, external priority queue, and raw stream scan. These are
@@ -46,41 +47,81 @@ void BM_StreamScan(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamScan)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_RunFormation(benchmark::State& state) {
+/// Back-to-back n-record inputs, 16 MiB in all (more than one core's
+/// L2): the run-formation benches sort each in turn, so no iteration
+/// re-sorts an input whose branches the predictor has learned. Sorting
+/// one input over and over made a 128-record std::sort read several
+/// times faster than it runs on fresh runs.
+std::vector<em::KeyRecord> input_pool(std::size_t n) {
+  constexpr std::size_t kPoolRecords = (std::size_t(16) << 20) /
+                                       sizeof(em::KeyRecord);
+  return random_records(std::max(kPoolRecords / n, std::size_t(2)) * n, 2);
+}
+
+/// Times `sort(run)` on a fresh copy of each pool input in turn.
+template <typename Sort>
+void run_formation(benchmark::State& state, Sort sort) {
   const auto n = std::size_t(state.range(0));
-  const auto data = random_records(n, 2);
+  const auto pool = input_pool(n);
+  std::vector<em::KeyRecord> run;
+  std::size_t off = 0;
   for (auto _ : state) {
-    auto copy = data;
-    std::sort(copy.begin(), copy.end());
-    benchmark::DoNotOptimize(copy.data());
+    run.assign(pool.begin() + std::ptrdiff_t(off),
+               pool.begin() + std::ptrdiff_t(off + n));
+    sort(run);
+    benchmark::DoNotOptimize(run.data());
+    off = off + n == pool.size() ? 0 : off + n;
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
                           std::int64_t(n));
 }
-// std::sort above, the generic kernel, beside em::sort_by_key, the stable
-// radix kernel DSM-Sort runs; 128, 4096 and 16384 are run lengths (beta)
-// of the benchmark's workloads.
+
+// Three run-formation kernels at the same lengths: std::sort, the generic
+// kernel; em::sort_by_key's short-run path (packed words under std::sort);
+// and its LSD radix path. The crossover of the last two sets
+// em::kMinRadixRun. 128, 4096 and 16384 are run lengths (beta) of the
+// benchmark's workloads.
+void BM_RunFormation(benchmark::State& state) {
+  run_formation(state, [](std::vector<em::KeyRecord>& run) {
+    std::sort(run.begin(), run.end());
+  });
+}
 BENCHMARK(BM_RunFormation)
+    ->Arg(32)
+    ->Arg(64)
     ->Arg(128)
     ->Arg(1 << 10)
     ->Arg(4096)
     ->Arg(1 << 14)
     ->Arg(1 << 18);
 
-void BM_RunFormationRadix(benchmark::State& state) {
-  const auto n = std::size_t(state.range(0));
-  const auto data = random_records(n, 2);
+// A cut-over above every length given here: always the short-run path.
+void BM_RunFormationPacked(benchmark::State& state) {
   std::vector<em::KeyRecord> scratch;
-  for (auto _ : state) {
-    auto copy = data;
-    em::sort_by_key(copy, scratch);
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          std::int64_t(n));
+  run_formation(state, [&](std::vector<em::KeyRecord>& run) {
+    em::sort_by_key<512>(run, scratch);
+  });
+}
+BENCHMARK(BM_RunFormationPacked)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256);
+
+// A cut-over of 2: always the radix path.
+void BM_RunFormationRadix(benchmark::State& state) {
+  std::vector<em::KeyRecord> scratch;
+  run_formation(state, [&](std::vector<em::KeyRecord>& run) {
+    em::sort_by_key<2>(run, scratch);
+  });
 }
 BENCHMARK(BM_RunFormationRadix)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
     ->Arg(128)
+    ->Arg(256)
     ->Arg(1 << 10)
     ->Arg(4096)
     ->Arg(1 << 14)

@@ -1457,12 +1457,22 @@ std::optional<std::string> prop_config_fuzz(sim::Rng& rng, unsigned size) {
 // classifier (per key and per batch) equals the type-erased range
 // classifier / std::lower_bound splitter search it replaced.
 std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
-  // Sizes 0, 1, 2, small, beta and 2*beta+odd, beta in [64, 4096].
+  // Sizes 0, 1, 2, small, either side of sort_by_key's radix cut-over,
+  // beta, 2*beta+odd (beta in [64, 4096]), and 128: the tenancy
+  // workload's beta, which always gets one subset's keys below.
   const std::size_t beta = std::size_t(64)
                            << rng.below(1 + std::min(size, 12u) / 2);
-  const std::size_t sizes[] = {0, 1, 2, 3 + rng.below(60), beta,
-                               2 * beta + 2 * rng.below(8) + 1};
-  const std::size_t n = sizes[rng.below(std::size(sizes))];
+  const std::size_t sizes[] = {0,
+                               1,
+                               2,
+                               3 + rng.below(60),
+                               em::kMinRadixRun - 1,
+                               em::kMinRadixRun + 1,
+                               beta,
+                               2 * beta + 2 * rng.below(8) + 1,
+                               128};
+  const std::size_t pick = rng.below(std::size(sizes));
+  const std::size_t n = sizes[pick];
   const core::KeyDist dist = gen_key_dist(rng);
   core::KeyGenerator gen(dist, n, rng.split());
   std::vector<em::KeyRecord> run(n);
@@ -1471,7 +1481,8 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
   // Key shape: as generated, all equal, constant high 8/16/24 bits (one
   // subset's keys), a few distinct values spread over every byte, or the
   // top three keys (packed beside RunMerger's exhausted-source word).
-  const unsigned shape = unsigned(rng.below(7));
+  unsigned shape = unsigned(rng.below(7));
+  if (pick + 1 == std::size(sizes)) shape = 2 + shape % 3;
   const auto c = std::uint32_t(rng.next());
   for (auto& r : run) {
     switch (shape) {

@@ -78,9 +78,10 @@ struct StoredRun {
 /// Whole-program state for one emulated DSM-Sort execution on a
 /// borrowed engine and cluster (the machine shape comes from the
 /// cluster). Instance bodies are member coroutines; the object outlives
-/// the engine run. Every instrument, track, and spawn name is routed
-/// through pfx(), so an empty cfg.label reproduces the legacy names
-/// byte-for-byte and the pinned golden digests are untouched.
+/// the engine run. Every track and spawn name is routed through
+/// job_name() and every instrument through metric_name(), so an empty
+/// cfg.label reproduces the legacy names byte-for-byte and the pinned
+/// golden digests are untouched.
 class DsmSortSim {
  public:
   DsmSortSim(sim::Engine& eng, asu_ns::Cluster& cluster,
@@ -106,7 +107,7 @@ class DsmSortSim {
   /// cluster: pass 1 with the control plane's services, optionally
   /// pass 2, then the full report.
   DsmSortReport run(ClusterRun& plane) {
-    dsm_track_ = eng_.tracer().track(pfx("dsm-sort"));
+    dsm_track_ = eng_.tracer().track(job_name("dsm-sort"));
     build_pass1();
     plane.start(cfg_.faults, cfg_.seed, cfg_.load_manager,
                 /*stop_when_idle=*/true);
@@ -118,14 +119,16 @@ class DsmSortSim {
     DsmSortReport rep;
     rep.pass1_seconds = pass1_end_;
     eng_.tracer().complete(dsm_track_, "pass1", 0.0, pass1_end_);
-    eng_.metrics().gauge(pfx("dsm.pass1_seconds")).set(pass1_end_);
+    eng_.metrics().gauge(metric_name("dsm.pass1_seconds")).set(pass1_end_);
     if (phase_hist_ != nullptr) phase_hist_->observe(pass1_end_);
     validate_pass1(rep);
     if (cfg_.run_merge_pass) {
       run_pass2(rep);
       eng_.tracer().complete(dsm_track_, "pass2", pass1_end_,
                              pass1_end_ + rep.pass2_seconds);
-      eng_.metrics().gauge(pfx("dsm.pass2_seconds")).set(rep.pass2_seconds);
+      eng_.metrics()
+          .gauge(metric_name("dsm.pass2_seconds"))
+          .set(rep.pass2_seconds);
       if (phase_hist_ != nullptr) phase_hist_->observe(rep.pass2_seconds);
     }
     rep.makespan = eng_.now();
@@ -202,10 +205,18 @@ class DsmSortSim {
   }
 
  private:
-  /// Prefix an instrument/track/spawn name with the job label. Empty
-  /// label returns the legacy name unchanged (golden compatibility).
-  [[nodiscard]] std::string pfx(const char* s) const {
+  /// Prefix a track or spawn name with the job label. Empty label
+  /// returns the legacy name unchanged (golden compatibility).
+  [[nodiscard]] std::string job_name(const char* s) const {
     return cfg_.label.empty() ? std::string(s) : cfg_.label + "." + s;
+  }
+
+  /// Prefix an instrument name with the metrics scope, the label when
+  /// no scope is set: jobs of one scope share each instrument.
+  [[nodiscard]] std::string metric_name(const char* s) const {
+    const std::string& scope =
+        cfg_.metrics_scope.empty() ? cfg_.label : cfg_.metrics_scope;
+    return scope.empty() ? std::string(s) : scope + "." + s;
   }
 
   /// Fair-share scaling for CPU charges. The ==1.0 fast path is not an
@@ -268,7 +279,8 @@ class DsmSortSim {
                   .endpoints = sort_in_->endpoints(hosts_),
                   .router = std::move(sort_router),
                   .producers = d_,
-                  .name = pfx("to_sort"),
+                  .name = job_name("to_sort"),
+                  .metrics_prefix = metric_name("to_sort"),
                   .charge_scale = charge_scale_,
                   .telemetry = cfg_.telemetry.histograms});
     // Runs are striped across ASUs at packet granularity (Section 4.3:
@@ -301,7 +313,8 @@ class DsmSortSim {
                   .endpoints = store_in_->endpoints(asus_),
                   .router = std::move(store_router),
                   .producers = h_,
-                  .name = pfx("to_store"),
+                  .name = job_name("to_store"),
+                  .metrics_prefix = metric_name("to_store"),
                   .charge_scale = charge_scale_,
                   .telemetry = cfg_.telemetry.histograms});
 
@@ -312,13 +325,13 @@ class DsmSortSim {
     // fingerprint are untouched.
     if (cfg_.telemetry.histograms) {
       auto& reg = eng_.metrics();
-      sort_hist_ = &reg.latency(pfx("sort.packet_seconds"));
-      store_hist_ = &reg.latency(pfx("store.packet_seconds"));
-      phase_hist_ = &reg.latency(pfx("dsm.phase_seconds"));
-      job_hist_ = &reg.latency(pfx("dsm.job_seconds"));
+      sort_hist_ = &reg.latency(metric_name("sort.packet_seconds"));
+      store_hist_ = &reg.latency(metric_name("store.packet_seconds"));
+      phase_hist_ = &reg.latency(metric_name("dsm.phase_seconds"));
+      job_hist_ = &reg.latency(metric_name("dsm.job_seconds"));
       if (cfg_.load_manager.mode == LoadManagerMode::Manage &&
           cfg_.load_manager.migration) {
-        migration_hist_ = &reg.latency(pfx("lm.migration_seconds"));
+        migration_hist_ = &reg.latency(metric_name("lm.migration_seconds"));
       }
     }
 
@@ -402,13 +415,15 @@ class DsmSortSim {
   void spawn_pass1() {
     for (unsigned a = 0; a < d_; ++a) {
       spawn_instance(distribute_instance(a),
-                     pfx("distribute") + std::to_string(a));
+                     job_name("distribute") + std::to_string(a));
     }
     for (unsigned hh = 0; hh < h_; ++hh) {
-      spawn_instance(sort_instance(hh), pfx("sort") + std::to_string(hh));
+      spawn_instance(sort_instance(hh),
+                     job_name("sort") + std::to_string(hh));
     }
     for (unsigned a = 0; a < d_; ++a) {
-      spawn_instance(store_instance(a), pfx("store") + std::to_string(a));
+      spawn_instance(store_instance(a),
+                     job_name("store") + std::to_string(a));
     }
   }
 
@@ -481,7 +496,7 @@ class DsmSortSim {
   sim::Task<> distribute_instance(unsigned a) {
     asu_ns::Node& node = cluster_.asu(a);
     obs::Counter& records_done =
-        eng_.metrics().counter(pfx("functor.distribute") +
+        eng_.metrics().counter(metric_name("functor.distribute") +
                                std::to_string(a) + ".records");
     const std::size_t n_local = local_share(a);
     if (n_local == 0) {
@@ -627,7 +642,7 @@ class DsmSortSim {
     asu_ns::Node* node = &cluster_.host(hh);
     auto& in = sort_in_->inbox(hh);
     const std::uint32_t track =
-        eng_.tracer().track(pfx("sort") + std::to_string(hh));
+        eng_.tracer().track(job_name("sort") + std::to_string(hh));
     const std::size_t run_len = cfg_.host_run_length();
     std::unordered_map<std::uint32_t, std::vector<em::KeyRecord>> staging;
     std::uint32_t next_run_id = hh * 0x100000u;
@@ -658,7 +673,7 @@ class DsmSortSim {
             // them); the stalled transfer is only the fixed overhead
             // plus the dirty delta assumed re-staged meanwhile.
             eng_.spawn(precopy_bulk(*node, *target, state_bytes),
-                       pfx("sort") + std::to_string(hh) + ".precopy");
+                       job_name("sort") + std::to_string(hh) + ".precopy");
             const std::size_t dirty = std::size_t(
                 double(state_bytes) * kPrecopyDirtyFraction);
             co_await cluster_.network().transfer(
@@ -754,7 +769,7 @@ class DsmSortSim {
     // no counter.
     obs::Counter*& records_done = sort_records_counter_[hh];
     if (records_done == nullptr) {
-      records_done = &eng_.metrics().counter(pfx("functor.sort") +
+      records_done = &eng_.metrics().counter(metric_name("functor.sort") +
                                              std::to_string(hh) + ".records");
     }
     records_done->inc(block.size());
@@ -789,10 +804,10 @@ class DsmSortSim {
   sim::Task<> store_instance(unsigned a) {
     asu_ns::Node& node = cluster_.asu(a);
     obs::Counter& records_done =
-        eng_.metrics().counter(pfx("functor.store") + std::to_string(a) +
-                               ".records");
+        eng_.metrics().counter(metric_name("functor.store") +
+                               std::to_string(a) + ".records");
     const std::uint32_t track =
-        eng_.tracer().track(pfx("store") + std::to_string(a));
+        eng_.tracer().track(job_name("store") + std::to_string(a));
     auto& in = store_in_->inbox(a);
     // Chunks are keyed by (run_id, seq) rather than appended in arrival
     // order: fault re-routing (retry-with-timeout) can let a later chunk
@@ -851,10 +866,15 @@ class DsmSortSim {
       rep.runs_stored += asu_runs.size();
       for (const auto& run : asu_runs) {
         rep.records_stored += run.records.size();
-        const bool sorted =
-            std::is_sorted(run.records.begin(), run.records.end());
+        // One read of the stored records: order and key checksum.
+        bool sorted = true;
+        std::uint32_t prev = 0;
+        for (const auto& r : run.records) {
+          sorted &= r.key >= prev;
+          prev = r.key;
+          checksum_out += r.key;
+        }
         if (!sorted) rep.runs_sorted_ok = false;
-        for (const auto& r : run.records) checksum_out += r.key;
         if (cfg_.distribute_on_asus &&
             !run_in_subset(classifier_, run.records, run.subset, sorted)) {
           rep.subsets_ok = false;

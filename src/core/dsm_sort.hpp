@@ -110,13 +110,21 @@ struct DsmSortConfig {
 
   std::uint64_t seed = 42;
 
-  /// Metric/trace/spawn-name prefix for this job ("<label>." prepended
-  /// to every instrument, functor counter, and spawned-task name).
-  /// Empty (the default) keeps every name at its legacy form, so
-  /// single-program runs and their pinned goldens are byte-identical.
-  /// The tenant scheduler assigns a unique label per admitted job so
-  /// concurrent jobs on one engine never collide in the registry.
+  /// Spawn-name and trace-track prefix for this job ("<label>."
+  /// prepended to every spawned-task name and tracer track). Empty (the
+  /// default) keeps every name at its legacy form, so single-program
+  /// runs and their pinned goldens are byte-identical. The tenant
+  /// scheduler assigns a unique label per admitted job, so each job's
+  /// tasks and tracks stay apart on the shared engine.
   std::string label;
+
+  /// Instrument prefix for this job ("<metrics_scope>." prepended to
+  /// every counter, gauge and histogram name); empty means `label`.
+  /// Jobs that share a scope share its instruments: counters sum and
+  /// histograms take every job's observations. The tenant scheduler
+  /// sets the tenant's name, so the registry grows with tenants, not
+  /// with jobs.
+  std::string metrics_scope;
 
   /// Fair-share weight for multi-tenant charging: this job's CPU and
   /// wire charges scale at 1/weight, so a weight-2 tenant occupies
@@ -242,8 +250,9 @@ class DsmSortSim;
 /// injector — the owner's control plane runs those for the whole
 /// cluster (one shared LoadManager, see attach_manager) — and pass 2 is
 /// unsupported (std::invalid_argument at construction). Give each
-/// concurrent job a unique cfg.label or their registry instruments
-/// collide.
+/// concurrent job a unique cfg.label, which names its tasks and trace
+/// tracks; jobs with one cfg.metrics_scope aggregate into one set of
+/// instruments.
 class DsmSortJob {
  public:
   DsmSortJob(sim::Engine& eng, asu::Cluster& cluster,

@@ -74,8 +74,13 @@ struct StageSpec {
   /// In-flight packet window granted per producer (backpressure bound).
   std::size_t window_per_producer = 32;
 
-  /// Metric/trace prefix for this stage's instruments.
+  /// Trace-track name of this stage, and the prefix of its instruments
+  /// unless metrics_prefix is set.
   std::string name = "stage";
+
+  /// Prefix for this stage's instruments; empty means `name`. Stages of
+  /// many jobs that share one prefix share one set of instruments.
+  std::string metrics_prefix{};
 
   /// Fair-share charge scaling for this stage's transfers (multi-tenant
   /// serving): a tenant with fair-share weight w is charged at 1/w for
@@ -84,8 +89,8 @@ struct StageSpec {
   /// single-tenant stages stay bit-identical to the unscaled path.
   double charge_scale = 1.0;
 
-  /// Distribution-level telemetry: registers `<name>.delivery_seconds`
-  /// (emit → consumer-inbox arrival) and `<name>.queue_wait_seconds`
+  /// Distribution-level telemetry: registers `<prefix>.delivery_seconds`
+  /// (emit → consumer-inbox arrival) and `<prefix>.queue_wait_seconds`
   /// (inbox arrival → consumption, via consumed()) latency histograms
   /// and stamps packet timestamps. Off by default: the pinned golden
   /// metrics fingerprints require that no instruments appear unless a
@@ -118,7 +123,10 @@ class StageOutput {
         charge_scale_(spec.charge_scale),
         slot_free_(eng),
         drained_(eng),
-        name_(std::move(spec.name)) {
+        name_(std::move(spec.name)),
+        metrics_prefix_(spec.metrics_prefix.empty()
+                            ? name_
+                            : std::move(spec.metrics_prefix)) {
     // producers == 0 would make window_ zero and the first emit_to spin
     // on `inflight_ >= window_` forever; catch the misconfiguration here.
     // A throw, not an assert: the default build defines NDEBUG, where an
@@ -133,19 +141,19 @@ class StageOutput {
     // Per-channel instruments: total traffic, batch-size shape, and one
     // counter per downstream instance (= packets routed per choice).
     auto& reg = eng.metrics();
-    packets_counter_ = &reg.counter(name_ + ".packets");
-    records_counter_ = &reg.counter(name_ + ".records");
-    bytes_counter_ = &reg.counter(name_ + ".bytes");
-    batch_hist_ = &reg.histogram(name_ + ".packet_records",
+    packets_counter_ = &reg.counter(metrics_prefix_ + ".packets");
+    records_counter_ = &reg.counter(metrics_prefix_ + ".records");
+    bytes_counter_ = &reg.counter(metrics_prefix_ + ".bytes");
+    batch_hist_ = &reg.histogram(metrics_prefix_ + ".packet_records",
                                  {16, 64, 256, 1024, 4096});
     routed_.reserve(endpoints_.size());
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
       routed_.push_back(
-          &reg.counter(name_ + ".routed." + std::to_string(i)));
+          &reg.counter(metrics_prefix_ + ".routed." + std::to_string(i)));
     }
     if (spec.telemetry) {
-      delivery_hist_ = &reg.latency(name_ + ".delivery_seconds");
-      queue_wait_hist_ = &reg.latency(name_ + ".queue_wait_seconds");
+      delivery_hist_ = &reg.latency(metrics_prefix_ + ".delivery_seconds");
+      queue_wait_hist_ = &reg.latency(metrics_prefix_ + ".queue_wait_seconds");
     }
     track_ = eng.tracer().track(name_);
   }
@@ -298,7 +306,8 @@ class StageOutput {
   /// golden harness pins the metrics fingerprint).
   obs::Counter& fault_retries() {
     if (!retries_counter_) {
-      retries_counter_ = &eng_->metrics().counter(name_ + ".fault_retries");
+      retries_counter_ =
+          &eng_->metrics().counter(metrics_prefix_ + ".fault_retries");
     }
     return *retries_counter_;
   }
@@ -420,6 +429,7 @@ class StageOutput {
   std::uint64_t records_sent_ = 0;
   PacketPool pool_;
   std::string name_;
+  std::string metrics_prefix_;
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;
   obs::Counter* bytes_counter_ = nullptr;

@@ -11,29 +11,37 @@
 
 namespace lmas::em {
 
+/// The shortest run sort_by_key sorts by radix. Below it, the fixed cost
+/// of four 256-bucket histograms outweighs the per-record saving over a
+/// comparison sort. BM_RunFormationPacked and BM_RunFormationRadix in
+/// bench/micro_extmem.cpp time both paths on distinct inputs; on a
+/// 4-core x86-64 Xeon at -O2 they tie at 32 records, the packed sort is
+/// 3x faster at 16, and the radix path is 2x faster at 64 and 4x at 128.
+inline constexpr std::size_t kMinRadixRun = 32;
+
 /// Run formation: stable LSD radix sort of `run` on its 32-bit key, one
 /// byte per digit. A single counting pass builds all four digit
 /// histograms; a digit on which every record falls into one bucket (e.g.
 /// the constant top bytes of one subset's keys) is skipped. The scatter
 /// passes ping-pong between `run` and `scratch`, which callers reuse
 /// across runs so steady-state sorting allocates nothing. Runs shorter
-/// than 256 records take a comparison sort of packed (key, position)
-/// words instead. On return `run` holds the sorted records (possibly in
-/// `scratch`'s former buffer); `scratch`'s contents are unspecified.
+/// than kMinRadixRun records take a comparison sort of packed
+/// (key, position) words instead. On return `run` holds the sorted
+/// records (possibly in `scratch`'s former buffer); `scratch`'s contents
+/// are unspecified.
 ///
 /// Stable at every size, so the exact oracle is std::stable_sort by key.
-template <Key32Record T>
+/// MinRadixRun moves the cut-over; the microbenches set it to time each
+/// path alone.
+template <std::size_t MinRadixRun = kMinRadixRun, Key32Record T>
 void sort_by_key(std::vector<T>& run, std::vector<T>& scratch) {
   const std::size_t n = run.size();
   if (n <= 1) return;
-  // Short runs: the fixed cost of four 256-bucket histograms outweighs
-  // the per-record saving (measured crossover near 256 records on
-  // x86-64). Sort (key, position) pairs packed into one word instead:
-  // positions make every pair distinct, so the unstable std::sort yields
+  // Short runs: sort (key, position) pairs packed into one word.
+  // Positions make every pair distinct, so the unstable std::sort yields
   // the stable order, with no allocation.
-  constexpr std::size_t kMinRadixRun = 256;
-  if (n < kMinRadixRun) {
-    std::array<std::uint64_t, kMinRadixRun> packed;
+  if (n < MinRadixRun) {
+    std::array<std::uint64_t, MinRadixRun> packed;
     for (std::size_t i = 0; i < n; ++i) {
       packed[i] = (std::uint64_t(run[i].key) << 32) | i;
     }

@@ -1,6 +1,7 @@
 #include "tenant/tenant.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <memory>
 #include <stdexcept>
@@ -217,7 +218,22 @@ class TenantScheduler {
       }
     }
 
-    if (jobs) eng_.spawn(admission(), "tenant-admission");
+    // Scan and bulk-load jobs count their records into one
+    // `<tenant>.<kind>.records` counter per kind in the tenant's mix,
+    // resolved once here, so a tenant's jobs share it.
+    if (jobs) {
+      kind_records_.assign(cfg_.tenants.size(), {});
+      for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
+        const TenantSpec& ts = cfg_.tenants[t];
+        for (const JobMixEntry& m : mix_of(ts)) {
+          if (const char* kind = fan_out_kind(m.kind)) {
+            kind_records_[t][std::size_t(m.kind)] =
+                &eng_.metrics().counter(ts.name + "." + kind + ".records");
+          }
+        }
+      }
+      eng_.spawn(admission(), "tenant-admission");
+    }
     eng_.run_to_completion("tenancy run");
     return assemble();
   }
@@ -308,6 +324,7 @@ class TenantScheduler {
     jc.sort_router = core::RouterKind::Static;
     jc.seed = ev.job_seed;
     jc.label = label;
+    jc.metrics_scope = ts.name;
     jc.fair_share_weight = ts.fair_share_weight;
     // The retry contract rides along; the injector does not (the
     // control plane owns the cluster's one fault timeline).
@@ -330,13 +347,24 @@ class TenantScheduler {
     out.conservation_ok = r.ok();
   }
 
+  /// The name a fan-out job kind gives its shard tasks and its records
+  /// counter; nullptr for DSM-Sort, whose job counts its own records.
+  static const char* fan_out_kind(JobKind k) noexcept {
+    switch (k) {
+      case JobKind::ActiveScan: return "scan";
+      case JobKind::RTreeBulkLoad: return "load";
+      case JobKind::DsmSort: break;
+    }
+    return nullptr;
+  }
+
   /// Fan a job's records out over every ASU — one shard task per ASU,
   /// named "<label>.<kind><a>" — wait for all of them, and account the
-  /// job's records.
+  /// job's records to its tenant's `<kind>.records` counter.
   template <typename MakeShard>
   sim::Task<> fan_out(const ArrivalEvent& ev, const std::string& label,
-                      const char* kind, JobOutcome& out,
-                      MakeShard make_shard) {
+                      JobOutcome& out, MakeShard make_shard) {
+    const char* kind = fan_out_kind(ev.kind);
     const std::size_t n = ev.records;
     FanState st(eng_);
     std::size_t assigned = 0;
@@ -347,7 +375,7 @@ class TenantScheduler {
                  label + "." + kind + std::to_string(a));
     }
     while (st.done < d_) co_await st.cv.wait();
-    eng_.metrics().counter(label + "." + kind + ".records").inc(st.processed);
+    kind_records_[ev.tenant][std::size_t(ev.kind)]->inc(st.processed);
     out.records_in = n;
     out.records_out = st.processed;
     out.conservation_ok = st.processed == n && assigned == n;
@@ -370,7 +398,7 @@ class TenantScheduler {
                            const std::string& label, JobOutcome& out) {
     asu_ns::Node* host = &cluster_.host(unsigned(ev.job_seed % h_));
     const double w = 1.0 / ts.fair_share_weight;
-    co_await fan_out(ev, label, "scan", out,
+    co_await fan_out(ev, label, out,
                      [=, this](unsigned a, std::size_t share) {
                        return scan_shard(a, share, share / 16, host, w);
                      });
@@ -403,7 +431,7 @@ class TenantScheduler {
         w * 2.0 * double(ev.records) *
         mp_.cost.sort_per_record(std::max<std::size_t>(ev.records, 2),
                                  /*on_asu=*/false));
-    co_await fan_out(ev, label, "load", out,
+    co_await fan_out(ev, label, out,
                      [=, this](unsigned a, std::size_t share) {
                        return load_shard(a, share, host, w);
                      });
@@ -478,6 +506,9 @@ class TenantScheduler {
   std::vector<obs::LatencyHistogram*> tenant_hists_;
   std::vector<obs::Counter*> tenant_migrations_;
   std::vector<obs::Counter*> tenant_switches_;
+  /// Per tenant, its `<kind>.records` counter by JobKind (null for
+  /// DSM-Sort and for kinds outside the tenant's mix).
+  std::vector<std::array<obs::Counter*, 3>> kind_records_;
 };
 
 }  // namespace

@@ -463,7 +463,11 @@ TEST(RadixSort, TinyRunsIncludingEmpty) {
 
 TEST(RadixSort, StableOnDuplicateKeysAtEverySize) {
   std::vector<em::KeyRecord> scratch;
-  for (std::size_t n : {31u, 255u, 256u, 257u, 1000u, 4097u}) {
+  // Either side of the radix cut-over, and of 256.
+  constexpr std::size_t k = em::kMinRadixRun;
+  for (std::size_t n : {k - 1, k, k + 1, std::size_t(255), std::size_t(256),
+                        std::size_t(257), std::size_t(1000),
+                        std::size_t(4097)}) {
     Rng rng(n);
     std::vector<em::KeyRecord> run(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -2,9 +2,13 @@
 // weight validation (TenancyConfig and DsmSortConfig paths), cross-job
 // isolation when one tenant's job rides through a mid-run crash while
 // another is admitted, seeded-run determinism, and fair-share weighting
-// actually speeding up the heavier tenant.
+// actually speeding up the heavier tenant, and tenant-scoped instruments
+// (a key set that does not grow with jobs, totals pinned per tenant).
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -218,6 +222,159 @@ TEST(Tenancy, ManagedRunPublishesPerTenantHistogramsAndLmCounters) {
   ASSERT_NE(counters, nullptr);
   EXPECT_NE(counters->find("lm.alice.migrations"), nullptr);
   EXPECT_NE(counters->find("lm.bob.router_switches"), nullptr);
+}
+
+// ---- tenant-scoped instruments ---------------------------------------
+
+// Three tenants, each with two job kinds, under the shared manager: every
+// tenant runs both of its kinds by 18 jobs.
+tenant::TenancyConfig mixed_config(std::size_t jobs) {
+  tenant::TenantSpec alice = spec("alice", 2.0);
+  alice.mix = {{tenant::JobKind::DsmSort, 1.0, 1 << 10},
+               {tenant::JobKind::ActiveScan, 1.0, 1 << 11}};
+  tenant::TenantSpec bob = spec("bob");
+  bob.mix = {{tenant::JobKind::DsmSort, 1.0, 1 << 9},
+             {tenant::JobKind::RTreeBulkLoad, 1.0, 1 << 10}};
+  tenant::TenantSpec carol = spec("carol");
+  carol.mix = {{tenant::JobKind::ActiveScan, 1.0, 1 << 10},
+               {tenant::JobKind::RTreeBulkLoad, 1.0, 1 << 9}};
+  tenant::TenancyConfig cfg;
+  cfg.tenants = {alice, bob, carol};
+  cfg.total_jobs = jobs;
+  cfg.offered_rate = 400.0;
+  cfg.max_in_flight = 3;
+  cfg.job_alpha = 4;
+  cfg.job_log2_alpha_beta = 8;
+  cfg.load_manager.mode = core::LoadManagerMode::Manage;
+  return cfg;
+}
+
+// Every instrument name in a metrics snapshot, across its sections.
+std::set<std::string> instrument_keys(const lmas::obs::Json& metrics) {
+  std::set<std::string> keys;
+  for (const auto& [section, block] : metrics.members()) {
+    for (const auto& [name, value] : block.members()) keys.insert(name);
+  }
+  return keys;
+}
+
+// True when some dot-separated component of `key` is `j<digits>`, the
+// form of a per-job label.
+bool has_job_component(const std::string& key) {
+  for (std::size_t p = key.find(".j"); p != std::string::npos;
+       p = key.find(".j", p + 1)) {
+    if (p + 2 < key.size() &&
+        std::isdigit(static_cast<unsigned char>(key[p + 2]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(Tenancy, InstrumentKeySetDoesNotGrowWithJobs) {
+  const auto few = tenant::run_tenancy(machine(2, 4), mixed_config(18));
+  const auto many = tenant::run_tenancy(machine(2, 4), mixed_config(72));
+  ASSERT_TRUE(few.ok());
+  ASSERT_TRUE(many.ok());
+  const auto keys = instrument_keys(few.metrics);
+  EXPECT_EQ(keys, instrument_keys(many.metrics));
+  for (const auto& key : keys) EXPECT_FALSE(has_job_component(key)) << key;
+}
+
+// Each tenant's counters equal the sums of its jobs' `<tenant>.j<i>.*`
+// counters at the commit before instruments were scoped by tenant,
+// pinned from that commit on this config.
+TEST(Tenancy, TenantTotalsEqualThePerJobSums) {
+  const std::map<std::string, double> pinned = {
+      {"alice.functor.distribute0.records", 1024},
+      {"alice.functor.distribute1.records", 1024},
+      {"alice.functor.distribute2.records", 1024},
+      {"alice.functor.distribute3.records", 1024},
+      {"alice.functor.sort0.records", 2979},
+      {"alice.functor.sort1.records", 1117},
+      {"alice.functor.store0.records", 1028},
+      {"alice.functor.store1.records", 1235},
+      {"alice.functor.store2.records", 930},
+      {"alice.functor.store3.records", 903},
+      {"alice.scan.records", 2048},
+      {"alice.to_sort.bytes", 524288},
+      {"alice.to_sort.packets", 64},
+      {"alice.to_sort.records", 4096},
+      {"alice.to_sort.routed.0", 32},
+      {"alice.to_sort.routed.1", 32},
+      {"alice.to_store.bytes", 524288},
+      {"alice.to_store.packets", 72},
+      {"alice.to_store.records", 4096},
+      {"alice.to_store.routed.0", 20},
+      {"alice.to_store.routed.1", 20},
+      {"alice.to_store.routed.2", 16},
+      {"alice.to_store.routed.3", 16},
+      {"bob.functor.distribute0.records", 640},
+      {"bob.functor.distribute1.records", 640},
+      {"bob.functor.distribute2.records", 640},
+      {"bob.functor.distribute3.records", 640},
+      {"bob.functor.sort0.records", 1875},
+      {"bob.functor.sort1.records", 685},
+      {"bob.functor.store0.records", 770},
+      {"bob.functor.store1.records", 673},
+      {"bob.functor.store2.records", 645},
+      {"bob.functor.store3.records", 472},
+      {"bob.load.records", 4096},
+      {"bob.to_sort.bytes", 327680},
+      {"bob.to_sort.packets", 80},
+      {"bob.to_sort.records", 2560},
+      {"bob.to_sort.routed.0", 40},
+      {"bob.to_sort.routed.1", 40},
+      {"bob.to_store.bytes", 327680},
+      {"bob.to_store.packets", 53},
+      {"bob.to_store.records", 2560},
+      {"bob.to_store.routed.0", 15},
+      {"bob.to_store.routed.1", 15},
+      {"bob.to_store.routed.2", 13},
+      {"bob.to_store.routed.3", 10},
+      {"carol.load.records", 1536},
+      {"carol.scan.records", 1024},
+  };
+  // Histogram (count, sum) per tenant, pinned the same way.
+  const std::map<std::string, std::pair<double, double>> pinned_hists = {
+      {"alice.to_sort.packet_records", {64, 4096}},
+      {"alice.to_store.packet_records", {72, 4096}},
+      {"bob.to_sort.packet_records", {80, 2560}},
+      {"bob.to_store.packet_records", {53, 2560}},
+  };
+
+  const auto rep = tenant::run_tenancy(machine(2, 4), mixed_config(18));
+  ASSERT_TRUE(rep.ok());
+  const auto is_tenant_key = [](const std::string& key) {
+    for (const char* t : {"alice.", "bob.", "carol."}) {
+      if (key.starts_with(t)) return true;
+    }
+    return false;
+  };
+  std::map<std::string, double> counters;
+  for (const auto& [name, v] : rep.metrics.at("counters").members()) {
+    if (is_tenant_key(name)) counters[name] = v.as_double();
+  }
+  EXPECT_EQ(counters, pinned);
+  for (const auto& [name, want] : pinned_hists) {
+    const lmas::obs::Json* h = rep.metrics.at("histograms").find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->at("count").as_double(), want.first) << name;
+    EXPECT_EQ(h->at("sum").as_double(), want.second) << name;
+  }
+
+  // The counters account for every record a tenant's jobs put out.
+  for (const auto& t : rep.tenants) {
+    double out = 0;
+    for (const auto& [name, n] : counters) {
+      if (!name.starts_with(t.name + ".")) continue;
+      if (name.find(".functor.store") != std::string::npos ||
+          name.ends_with(".scan.records") || name.ends_with(".load.records")) {
+        out += n;
+      }
+    }
+    EXPECT_EQ(out, double(t.records_out)) << t.name;
+  }
 }
 
 }  // namespace
