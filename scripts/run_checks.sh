@@ -43,9 +43,10 @@ echo "== [5/7] fault + load-manager property suites under ASan/UBSan (reduced ca
 # clients attaching and detaching mid-run). topology-conservation runs
 # the same embedded jobs on hierarchical TopologySpecs (spine resources,
 # per-node speeds), covering the rack/spine charging paths.
-# migration-economy drives the budgeted placer with concurrent pre-copy
-# transfers under crash schedules — background bulk transfers racing
-# instance migration is a fresh lifetime surface. config-fuzz feeds
+# migration-economy drives the move-budgeted placer, pricing both
+# pre-copy and stop-copy moves, with concurrent pre-copy transfers under
+# crash schedules — background bulk transfers racing instance migration
+# is a fresh lifetime surface. config-fuzz feeds
 # random, often invalid configs through both entry points; a missed
 # validation rule there is UB (an oversized shift, a division by zero)
 # that only the sanitizers report reliably. host-kernels runs the radix

@@ -1,6 +1,7 @@
 #include "check/suites.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -204,8 +205,6 @@ PlanRun run_plan(const PacketPlan& plan, const PlanSetup& setup) {
                                         .name = setup.name});
   std::unique_ptr<fault::FaultInjector> inj;
   if (setup.faults != nullptr && !setup.faults->empty()) {
-    out.set_fault_retry(setup.faults->retry_timeout,
-                        setup.faults->max_retries);
     inj = std::make_unique<fault::FaultInjector>(
         cluster, *setup.faults,
         sim::Rng(setup.fault_seed).stream(sim::stream_id("faults")));
@@ -1161,12 +1160,17 @@ std::optional<std::string> prop_pod_balance(sim::Rng& rng, unsigned size) {
 
 // ---- migration economy ---------------------------------------------
 
+// Cases, since the process started, whose placer journal priced at least
+// one pre-copy move, and at least one stop-copy move.
+std::atomic<std::size_t> g_precopy_cases{0};
+std::atomic<std::size_t> g_stopcopy_cases{0};
+
 // The budgeted placer's safety contract. One managed DSM-Sort per case:
-// random per-tick move/byte budgets, an aggressive control loop (short
+// a random per-tick move budget, an aggressive control loop (short
 // period, low hysteresis) so migrations actually fire, and — half the
 // time — a random fault plan (crash windows included) underneath. The
 // run must conserve records/checksums/subsets; every journaled placer
-// tick must respect both budgets; and the managed run must replay
+// tick must respect the move budget; and the managed run must replay
 // bit-identically (plan + execute of concurrent pre-copy transfers is
 // part of the digest).
 std::optional<std::string> prop_migration_economy(sim::Rng& rng,
@@ -1195,13 +1199,6 @@ std::optional<std::string> prop_migration_economy(sim::Rng& rng,
   lm.cooldown_samples = rng.below(3);
   lm.dwell_samples = 1 + rng.below(4);
   lm.budget_moves_per_tick = 1 + rng.below(3);
-  // Half the time cap bytes per tick too (4 KiB .. 4 MiB — low caps make
-  // state-heavy instances inadmissible, which the budget check must
-  // still honor); otherwise unlimited.
-  lm.budget_bytes_per_tick = rng.below(2) == 0
-                                 ? std::size_t(-1)
-                                 : std::size_t(1) << (12 + rng.below(11));
-  lm.precopy_stall_fraction = rng.uniform(0.0, 0.5);
   cfg.load_manager = lm;
   if (rng.below(2) == 0) {
     cfg.faults = gen_fault_plan(rng, mp, base.pass1_seconds, size);
@@ -1224,8 +1221,10 @@ std::optional<std::string> prop_migration_economy(sim::Rng& rng,
 
   // Budget accounting: the placer journals every admitted move with the
   // tick timestamp it was planned at. Group by identical time — one
-  // group per manager tick — and check both budgets.
-  std::map<double, std::pair<std::size_t, std::size_t>> ticks;
+  // group per manager tick — and check the move budget.
+  std::map<double, std::size_t> ticks;
+  bool precopy = false;
+  bool stopcopy = false;
   for (const auto& d : rep.lm_decisions) {
     if (d.bytes < core::kMigrationOverheadBytes) {
       return fmt("placer decision at t=%.6f declares %zu bytes, below the "
@@ -1233,21 +1232,17 @@ std::optional<std::string> prop_migration_economy(sim::Rng& rng,
                  d.time, d.bytes, core::kMigrationOverheadBytes,
                  cfg_str(mp, cfg).c_str());
     }
-    auto& [moves, bytes] = ticks[d.time];
-    ++moves;
-    bytes += d.bytes;
+    ++ticks[d.time];
+    precopy |= d.mode == core::MigrationMode::PreCopy;
+    stopcopy |= d.mode == core::MigrationMode::StopCopy;
   }
-  for (const auto& [time, tally] : ticks) {
-    if (tally.first > lm.budget_moves_per_tick) {
+  g_precopy_cases += precopy;
+  g_stopcopy_cases += stopcopy;
+  for (const auto& [time, moves] : ticks) {
+    if (moves > lm.budget_moves_per_tick) {
       return fmt("placer tick at t=%.6f admitted %zu moves over a budget "
                  "of %zu [%s]",
-                 time, tally.first, lm.budget_moves_per_tick,
-                 cfg_str(mp, cfg).c_str());
-    }
-    if (tally.second > lm.budget_bytes_per_tick) {
-      return fmt("placer tick at t=%.6f admitted %zu bytes over a budget "
-                 "of %zu [%s]",
-                 time, tally.second, lm.budget_bytes_per_tick,
+                 time, moves, lm.budget_moves_per_tick,
                  cfg_str(mp, cfg).c_str());
     }
   }
@@ -1274,24 +1269,18 @@ std::optional<std::string> prop_migration_economy(sim::Rng& rng,
 // ---- config-fuzz -----------------------------------------------------
 
 /// A valid control loop spanning Off/Monitor/Manage, with zero budgets,
-/// hysteresis and dwell, tiny sample budgets and degenerate factors.
+/// hysteresis and dwell.
 core::LoadManagerConfig fuzz_load_manager(sim::Rng& rng) {
   core::LoadManagerConfig lm;
   lm.mode = pick(rng, {core::LoadManagerMode::Off,
                        core::LoadManagerMode::Monitor,
                        core::LoadManagerMode::Manage});
   lm.period = pick(rng, {1e-4, 5e-4, 0.05});
-  lm.max_samples = pick(rng, {std::size_t(0), std::size_t(1), lm.max_samples});
-  lm.router_swap = rng.below(2) == 0;
-  lm.migration = rng.below(2) == 0;
   lm.promote_hysteresis = rng.below(3);
   lm.migrate_hysteresis = rng.below(3);
-  lm.migrate_factor = pick(rng, {0.0, 0.5, 2.0});
   lm.cooldown_samples = rng.below(3);
   lm.dwell_samples = rng.below(3);
   lm.budget_moves_per_tick = rng.below(3);
-  lm.budget_bytes_per_tick = pick(rng, {std::size_t(0), std::size_t(4096),
-                                        lm.budget_bytes_per_tick});
   return lm;
 }
 
@@ -1663,6 +1652,10 @@ const SuiteInfo& suite(std::string_view name) {
     if (s.name == name) return s;
   }
   throw std::out_of_range("no property suite named " + std::string(name));
+}
+
+PricedModes migration_economy_priced_modes() {
+  return {g_precopy_cases.load(), g_stopcopy_cases.load()};
 }
 
 }  // namespace lmas::check

@@ -87,15 +87,14 @@ namespace lmas::check {
 ///                  mean-field log-log gap, and power-of-one ignores
 ///                  advertised load entirely.
 ///  - migration-economy: the budgeted placer's safety contract — a
-///                  managed DSM-Sort with random per-tick move/byte
-///                  budgets (and, half the time, a random fault plan
-///                  with crash windows underneath) still conserves
-///                  records, checksums and subset boundaries; every
-///                  journaled placer tick respects both budgets
-///                  (moves per tick ≤ budget, declared bytes per tick
-///                  ≤ budget); each decision's declared bytes cover at
-///                  least the migration overhead; and the managed run
-///                  replays bit-identically.
+///                  managed DSM-Sort with a random per-tick move budget
+///                  (and, half the time, a random fault plan with crash
+///                  windows underneath) still conserves records,
+///                  checksums and subset boundaries; every journaled
+///                  placer tick admits at most the budgeted moves; each
+///                  decision's declared bytes cover at least the
+///                  migration overhead; and the managed run replays
+///                  bit-identically.
 ///  - config-fuzz:  the validation boundary — random, often invalid
 ///                  DsmSortConfig × MachineParams × LoadManagerConfig
 ///                  values and small TenancyConfigs are rejected with
@@ -136,5 +135,13 @@ struct SuiteInfo {
 
 /// The registered suite named `name` (std::out_of_range if none).
 [[nodiscard]] const SuiteInfo& suite(std::string_view name);
+
+/// How many migration-economy cases run in this process journaled at
+/// least one pre-copy move, and at least one stop-copy move.
+struct PricedModes {
+  std::size_t precopy = 0;
+  std::size_t stopcopy = 0;
+};
+[[nodiscard]] PricedModes migration_economy_priced_modes();
 
 }  // namespace lmas::check

@@ -48,7 +48,7 @@ void ClusterRun::start(const fault::FaultPlan& faults, std::uint64_t seed,
     monitor_->set_observer(
         [m = manager_.get()](const LoadSample& s) { m->on_sample(s); });
   }
-  monitor_->start(lm.max_samples, stop_when_idle);
+  monitor_->start(stop_when_idle);
 }
 
 void ClusterRun::finish(RunReport& rep, bool latency_summaries) {

@@ -115,13 +115,11 @@ class DsmSortSim {
     attach_sampler();
     spawn_pass1();
     eng_.run_to_completion("DSM-Sort pass 1");
-    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
     DsmSortReport rep;
-    rep.pass1_seconds = pass1_end_;
+    finish_pass1(rep);
     eng_.tracer().complete(dsm_track_, "pass1", 0.0, pass1_end_);
     eng_.metrics().gauge(metric_name("dsm.pass1_seconds")).set(pass1_end_);
     if (phase_hist_ != nullptr) phase_hist_->observe(pass1_end_);
-    validate_pass1(rep);
     if (cfg_.run_merge_pass) {
       run_pass2(rep);
       eng_.tracer().complete(dsm_track_, "pass2", pass1_end_,
@@ -153,7 +151,6 @@ class DsmSortSim {
           "DsmSortJob: run_merge_pass is not supported in embedded mode "
           "(pass 2 re-runs the engine, which a shared engine forbids)");
     }
-    embedded_ = true;
     build_pass1();
   }
 
@@ -164,15 +161,11 @@ class DsmSortSim {
   /// this job's.
   sim::Task<> job_body() {
     t0_ = eng_.now();
-    total_instances_ = std::size_t(d_) + h_ + d_;
     spawn_pass1();
     while (finished_instances_ < total_instances_) {
-      co_await job_done_.wait();
+      co_await pass1_done_.wait();
     }
-    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
-    rep_ = DsmSortReport{};
-    rep_.pass1_seconds = pass1_end_ - t0_;
-    validate_pass1(rep_);
+    finish_pass1(rep_);
     rep_.makespan = eng_.now() - t0_;
     if (manager_ != nullptr) manager_->remove_client(client_);
     finished_flag_ = true;
@@ -182,26 +175,23 @@ class DsmSortSim {
   [[nodiscard]] const DsmSortReport& job_report() const { return rep_; }
 
   /// The one management attach path, shared by both modes: register a
-  /// client of `manager`, hand it the switchable sort router (if built),
-  /// and — with migration on — the sort instances (one per host, any
-  /// host a candidate destination), each declaring its live working set
-  /// and wire cost so the placer can price moves and pick pre-copy vs
-  /// stop-copy. The consult point in sort_instance() then plans,
-  /// consults and confirms through this client.
+  /// client of `manager`, hand it the switchable sort router (if built)
+  /// and the sort instances (one per host, any host a candidate
+  /// destination), each declaring its live working set and wire cost so
+  /// the placer can price moves and pick pre-copy vs stop-copy. The
+  /// consult point in sort_instance() then plans, consults and confirms
+  /// through this client.
   void attach_manager(LoadManager& manager, const std::string& label) {
     manager_ = &manager;
     client_ = manager.add_client(label);
     if (switch_router_ != nullptr) {
       manager.client_router(client_, switch_router_);
     }
-    if (cfg_.load_manager.migration) {
-      std::vector<MigrationDeclaration> decls;
-      for (unsigned hh = 0; hh < h_; ++hh) {
-        decls.push_back(sort_declaration(hh));
-      }
-      manager.client_instances(client_, hosts_, hosts_,
-                               std::move(decls));
+    std::vector<MigrationDeclaration> decls;
+    for (unsigned hh = 0; hh < h_; ++hh) {
+      decls.push_back(sort_declaration(hh));
     }
+    manager.client_instances(client_, hosts_, hosts_, std::move(decls));
   }
 
  private:
@@ -255,7 +245,7 @@ class DsmSortSim {
     auto sort_stream = sim::Rng(cfg_.seed).stream(sim::stream_id("routing.sort"));
     std::unique_ptr<RoutingPolicy> sort_router;
     if (cfg_.load_manager.mode == LoadManagerMode::Manage &&
-        cfg_.load_manager.router_swap && cfg_.distribute_on_asus) {
+        cfg_.distribute_on_asus) {
       auto switchable = std::make_unique<SwitchableRouter>(
           make_router({.kind = sort_kind,
                        .rng = sort_stream,
@@ -289,10 +279,10 @@ class DsmSortSim {
     // instance's own rack (run_id encodes the producer: hh * 0x100000,
     // so run_id >> 20 recovers it; sort_rack_ tracks migrations), which
     // keeps run chunks off the oversubscribed spine. Flat topologies
-    // build the exact pre-existing RoundRobinRouter — byte-identical.
+    // stripe round-robin over every ASU.
     std::unique_ptr<RoutingPolicy> store_router;
     const asu_ns::TopologySpec& topo = cluster_.topology();
-    if (cfg_.rack_affinity_store && topo.hierarchical()) {
+    if (topo.hierarchical()) {
       sort_rack_.assign(h_, 0);
       for (unsigned hh = 0; hh < h_; ++hh) {
         sort_rack_[hh] = topo.rack_of_host(hh);
@@ -329,8 +319,7 @@ class DsmSortSim {
       store_hist_ = &reg.latency(metric_name("store.packet_seconds"));
       phase_hist_ = &reg.latency(metric_name("dsm.phase_seconds"));
       job_hist_ = &reg.latency(metric_name("dsm.job_seconds"));
-      if (cfg_.load_manager.mode == LoadManagerMode::Manage &&
-          cfg_.load_manager.migration) {
+      if (cfg_.load_manager.mode == LoadManagerMode::Manage) {
         migration_hist_ = &reg.latency(metric_name("lm.migration_seconds"));
       }
     }
@@ -340,16 +329,6 @@ class DsmSortSim {
     sort_records_counter_.assign(h_, nullptr);
     sort_staged_records_.assign(h_, 0);
     store_end_.assign(d_, 0.0);
-
-    // The retry contract rides with the plan; the injector itself
-    // belongs to the run's control plane (one per cluster, not one per
-    // job). Fault-free runs leave delivery untouched.
-    if (!cfg_.faults.empty()) {
-      to_sort_->set_fault_retry(cfg_.faults.retry_timeout,
-                                cfg_.faults.max_retries);
-      to_store_->set_fault_retry(cfg_.faults.retry_timeout,
-                                 cfg_.faults.max_retries);
-    }
   }
 
   /// Standalone only: the passive sim-time sampler, driven from the
@@ -362,8 +341,7 @@ class DsmSortSim {
       const double period = cfg_.telemetry.sample_period > 0
                                 ? cfg_.telemetry.sample_period
                                 : mp_.util_bin;
-      sampler_ = std::make_unique<obs::Sampler>(
-          period, cfg_.telemetry.sample_capacity);
+      sampler_ = std::make_unique<obs::Sampler>(period);
       for (unsigned i = 0; i < h_; ++i) {
         sampler_->add_probe(
             "host.load." + std::to_string(i),
@@ -407,41 +385,36 @@ class DsmSortSim {
     }
   }
 
-  /// Launch the pass-1 instance coroutines. Standalone spawns them bare
-  /// (names and order identical to the pre-refactor code, so the pinned
-  /// digests — which fold spawn names — are untouched); embedded wraps
-  /// each in tracked() so job_body() can detect drain on a shared
-  /// engine, where Engine::run() returning is not this job's signal.
+  /// Launch the pass-1 instance coroutines as bare roots (the pinned
+  /// digests fold their spawn names, in this order). Each instance counts
+  /// itself finished as its last step (instance_done), which is how
+  /// job_body() detects drain on a shared engine, where Engine::run()
+  /// returning is not this job's signal.
   void spawn_pass1() {
+    total_instances_ = std::size_t(d_) + h_ + d_;
     for (unsigned a = 0; a < d_; ++a) {
-      spawn_instance(distribute_instance(a),
-                     job_name("distribute") + std::to_string(a));
+      eng_.spawn(distribute_instance(a),
+                 job_name("distribute") + std::to_string(a));
     }
     for (unsigned hh = 0; hh < h_; ++hh) {
-      spawn_instance(sort_instance(hh),
-                     job_name("sort") + std::to_string(hh));
+      eng_.spawn(sort_instance(hh), job_name("sort") + std::to_string(hh));
     }
     for (unsigned a = 0; a < d_; ++a) {
-      spawn_instance(store_instance(a),
-                     job_name("store") + std::to_string(a));
+      eng_.spawn(store_instance(a), job_name("store") + std::to_string(a));
     }
   }
 
-  void spawn_instance(sim::Task<> body, std::string name) {
-    if (embedded_) {
-      eng_.spawn(tracked(std::move(body)), std::move(name));
-    } else {
-      eng_.spawn(std::move(body), std::move(name));
-    }
+  /// Count one pass-1 instance finished; the last one wakes job_body().
+  /// A standalone run has no waiter, so the notify schedules nothing.
+  void instance_done() {
+    if (++finished_instances_ == total_instances_) pass1_done_.notify_all();
   }
 
-  /// Completion envelope for embedded instances: run the instance, then
-  /// count it done and wake the job body when the last one drains.
-  sim::Task<> tracked(sim::Task<> inner) {
-    co_await std::move(inner);
-    if (++finished_instances_ == total_instances_) {
-      job_done_.notify_all();
-    }
+  /// The finishing step both modes share once pass 1 has drained.
+  void finish_pass1(DsmSortReport& rep) {
+    pass1_end_ = *std::max_element(store_end_.begin(), store_end_.end());
+    rep.pass1_seconds = pass1_end_ - t0_;
+    validate_pass1(rep);
   }
 
   static std::vector<asu_ns::Node*> tier(asu_ns::Cluster& cluster,
@@ -501,6 +474,7 @@ class DsmSortSim {
     const std::size_t n_local = local_share(a);
     if (n_local == 0) {
       to_sort_->producer_done();
+      instance_done();
       co_return;
     }
     KeyGenerator gen(cfg_.key_dist, n_local, workload_stream(a));
@@ -572,6 +546,7 @@ class DsmSortSim {
       co_await to_sort_->emit(node, std::move(pkt));
     }
     to_sort_->producer_done();
+    instance_done();
   }
 
   /// Distribute the next `n` records of ASU a's input in two phases,
@@ -726,6 +701,7 @@ class DsmSortSim {
       }
     }
     to_store_->producer_done();
+    instance_done();
   }
 
   /// Background half of a pre-copy move: ship the bulk working set
@@ -850,6 +826,7 @@ class DsmSortSim {
       dest.push_back(std::move(sr));
     }
     store_end_[a] = eng_.now();
+    instance_done();
   }
 
   void validate_pass1(DsmSortReport& rep) const {
@@ -1203,8 +1180,8 @@ class DsmSortSim {
   /// Pure bookkeeping on existing control flow: no events, no charges,
   /// digest-neutral in every mode.
   std::vector<std::size_t> sort_staged_records_;
-  /// Current rack of each sort instance (hierarchical topologies with
-  /// rack_affinity_store only; empty otherwise). Migrations update it so
+  /// Current rack of each sort instance (hierarchical topologies only;
+  /// empty otherwise). Migrations update it so
   /// run storage follows the instance to its new rack.
   std::vector<unsigned> sort_rack_;
   std::vector<double> store_end_;
@@ -1229,15 +1206,13 @@ class DsmSortSim {
   SwitchableRouter* switch_router_ = nullptr;  // owned by to_sort_'s router
 
   // charge_scale_ is exactly 1.0 at the default weight, so single-tenant
-  // charges are unchanged. Job-mode state is inert in standalone runs:
-  // embedded_ stays false and the condition is constructed but never
-  // notified (a no-event operation).
+  // charges are unchanged. t0_ stays 0 in a standalone run, whose pass-1
+  // completion notify finds no waiter.
   double charge_scale_;  // 1 / cfg.fair_share_weight
-  bool embedded_ = false;
   double t0_ = 0;
   std::size_t total_instances_ = 0;
   std::size_t finished_instances_ = 0;
-  sim::Condition job_done_{eng_};
+  sim::Condition pass1_done_{eng_};
   DsmSortReport rep_;
   bool finished_flag_ = false;
 };

@@ -40,11 +40,6 @@ struct TelemetryConfig {
   /// Sampling period in sim seconds; 0 derives it from the machine's
   /// utilization bin so the series lines up with the utilization block.
   double sample_period = 0;
-
-  /// Ring capacity per probe (oldest samples evicted beyond this).
-  std::size_t sample_capacity = 4096;
-
-  [[nodiscard]] bool any() const noexcept { return histograms || sampler; }
 };
 
 /// Configuration of the hybrid distribute/sort/merge program (Section 4.3).
@@ -87,15 +82,6 @@ struct DsmSortConfig {
 
   /// Run pass 2 (the final merges) as well; Fig. 9 reports pass 1 only.
   bool run_merge_pass = false;
-
-  /// Rack-locality preference for run storage on hierarchical
-  /// topologies: sorted-run chunks round-robin over the ASUs in the
-  /// producing sort instance's own rack (RackAffinityRouter) instead of
-  /// over all ASUs, keeping pass-1 run traffic off the oversubscribed
-  /// spine. No effect on flat specs — those build the exact pre-existing
-  /// RoundRobinRouter, so flat runs (and all pinned goldens) are
-  /// byte-identical whatever this is set to.
-  bool rack_affinity_store = true;
 
   /// ASU-side pre-merge fan-in gamma_1 (gamma = gamma_1 * gamma_2 split
   /// between ASUs and hosts): 0 = merge all local runs per subset at the

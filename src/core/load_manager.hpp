@@ -17,6 +17,29 @@
 
 namespace lmas::core {
 
+/// Router hot-swap watermarks on host imbalance (0 = even, 1 = all on one
+/// node): promote static -> dynamic at or above kPromoteImbalance, demote
+/// at or below kDemoteImbalance. The gap prevents threshold chatter.
+inline constexpr double kPromoteImbalance = 0.25;
+inline constexpr double kDemoteImbalance = 0.10;
+
+/// Actionability floor in utilization units (load / sampling window):
+/// below it imbalance ratios are noise (a drained cluster with one 1 ms
+/// straggler reads as imbalance 1.0), so the manager ignores them and the
+/// monitor's mean imbalance skips the window.
+inline constexpr double kMinActionableLoad = 0.05;
+
+/// A move needs load here >= kMigrateFactor × load there: the factor
+/// absorbs migration overhead and estimation error.
+inline constexpr double kMigrateFactor = 2.0;
+
+/// The placer orders pre-copy when a move's stop-copy stall estimate
+/// exceeds this fraction of the sampling window.
+inline constexpr double kPrecopyStallFraction = 0.25;
+
+/// Samples the monitor takes at most before it stops by itself.
+inline constexpr std::size_t kMaxMonitorSamples = 10000;
+
 /// One utilization sample across the cluster.
 struct LoadSample {
   double time = 0;
@@ -31,26 +54,19 @@ struct LoadSample {
   /// delta integrates over the whole window and cannot miss bursts.
   std::vector<double> host_offered;
   std::vector<double> asu_offered;
-  /// Effective work-drain rate per node (relative speed times the current
-  /// fault rate-scale), published for diagnosis. Charges are already
-  /// expressed in wall-seconds on each node's own CPU — a slow or
-  /// degraded node accrues proportionally more backlog/offered seconds
-  /// for the same records — so load comparisons need no rate division.
-  std::vector<double> host_rate;
-  std::vector<double> asu_rate;
 
   /// The decision signal: queued work plus work accepted this window, in
-  /// wall-seconds per node. Offered entries are optional (hand-built
-  /// samples in tests may carry backlogs only).
+  /// wall-seconds per node. Charges are already expressed in wall-seconds
+  /// on each node's own CPU (a slow or degraded node accrues more seconds
+  /// for the same records), so load comparisons need no rate division.
+  /// Offered entries are optional (hand-built samples in tests may carry
+  /// backlogs only).
   [[nodiscard]] std::vector<double> host_load() const {
     return combine(host_backlog, host_offered);
   }
   [[nodiscard]] std::vector<double> asu_load() const {
     return combine(asu_backlog, asu_offered);
   }
-
-  [[nodiscard]] double host_imbalance() const { return imbalance(host_load()); }
-  [[nodiscard]] double asu_imbalance() const { return imbalance(asu_load()); }
 
   /// Aggregate load per rack under `topo`'s block partition: each rack's
   /// entry is the summed host + ASU load of the nodes it holds. This is
@@ -68,9 +84,6 @@ struct LoadSample {
       v[topo.rack_of_asu(unsigned(a))] += asus[a];
     }
     return v;
-  }
-  [[nodiscard]] double rack_imbalance(const asu::TopologySpec& topo) const {
-    return imbalance(rack_load(topo));
   }
 
   static std::vector<double> combine(const std::vector<double>& backlog,
@@ -104,7 +117,7 @@ class LoadMonitor {
   /// `period_seconds` must be > 0 (std::invalid_argument otherwise): a
   /// zero-length sleep does not suspend, so a non-positive period would
   /// take every sample at one instant and leave the run unobserved.
-  LoadMonitor(asu::Cluster& cluster, double period_seconds = 0.05)
+  LoadMonitor(asu::Cluster& cluster, double period_seconds)
       : cluster_(&cluster), period_(period_seconds) {
     if (!(period_seconds > 0)) {
       throw std::invalid_argument(
@@ -113,29 +126,25 @@ class LoadMonitor {
     }
   }
 
-  /// Spawn the sampling process; it runs until the engine drains (it
-  /// samples only while other work is pending, so it cannot keep the
-  /// simulation alive by itself... which a periodic task would; instead
-  /// it stops after `max_samples`).
+  /// Spawn the sampling process. A periodic task keeps the event queue
+  /// alive, so the process stops by itself after two consecutive all-idle
+  /// samples once it has seen work, and in any case after
+  /// kMaxMonitorSamples samples.
   ///
   /// `stop_when_idle = false` disables the two-consecutive-idle auto-stop
   /// for open-arrival workloads, where quiescent gaps between job
   /// arrivals are normal and stopping inside one would blind the manager
-  /// to every later job. Such a monitor keeps the event queue alive, so
-  /// its owner MUST call request_stop() once the workload is known to be
-  /// complete (the multi-tenant scheduler does this after the last job).
-  void start(std::size_t max_samples = 10000, bool stop_when_idle = true) {
+  /// to every later job. Its owner MUST then call request_stop() once the
+  /// workload is known to be complete (the multi-tenant scheduler does
+  /// this after the last job).
+  void start(bool stop_when_idle = true) {
     stop_when_idle_ = stop_when_idle;
-    cluster_->engine().spawn(run(max_samples), "load-monitor");
+    cluster_->engine().spawn(run(), "load-monitor");
   }
 
   /// Ask the sampling process to exit at its next tick (open-arrival
   /// mode; see start()). Safe to call multiple times or before start.
   void request_stop() noexcept { stop_requested_ = true; }
-
-  [[nodiscard]] const std::vector<LoadSample>& samples() const noexcept {
-    return samples_;
-  }
 
   /// Deliver every sample, as it is taken, to one downstream consumer —
   /// the LoadManager's decision loop plugs in here. Called after the
@@ -149,40 +158,27 @@ class LoadMonitor {
   /// saturates easily — one window where a single host drains the last
   /// run while the others sit idle reads as imbalance 1.0 — so pair it
   /// with mean_host_imbalance when comparing runs.
-  [[nodiscard]] double peak_host_imbalance() const {
-    double peak = 0;
-    for (const auto& s : samples_) peak = std::max(peak, s.host_imbalance());
-    return peak;
+  [[nodiscard]] double peak_host_imbalance() const noexcept {
+    return peak_imbalance_;
   }
 
   /// Mean host imbalance over *actionable* windows: samples where the
-  /// busiest host's load is at least `min_load_factor` of the sampling
-  /// window (the same floor the manager applies — imbalance ratios over
-  /// a near-idle cluster are noise). This is the figure of merit for
-  /// managed-vs-unmanaged comparisons: the manager cannot avoid the
+  /// busiest host's load is at least kMinActionableLoad of the sampling
+  /// window (the floor the manager applies). This is the figure of merit
+  /// for managed-vs-unmanaged comparisons: the manager cannot avoid the
   /// short hot streaks that *trigger* its actions (so the peak stays
   /// high in both runs), but it shrinks how long they last.
-  [[nodiscard]] double mean_host_imbalance(
-      double min_load_factor = 0.05) const {
-    double sum = 0;
-    std::size_t n = 0;
-    for (const auto& s : samples_) {
-      const auto load = s.host_load();
-      if (load.empty()) continue;
-      const double peak = *std::max_element(load.begin(), load.end());
-      if (peak / s.period < min_load_factor) continue;
-      sum += s.host_imbalance();
-      ++n;
-    }
-    return n == 0 ? 0 : sum / double(n);
+  [[nodiscard]] double mean_host_imbalance() const noexcept {
+    return actionable_ == 0 ? 0 : actionable_sum_ / double(actionable_);
   }
 
  private:
-  sim::Task<> run(std::size_t max_samples) {
+  sim::Task<> run() {
     // Publish every sample into the engine's registry (and, when tracing,
     // as Chrome counter events) so routing decisions and bench artifacts
-    // see the same backlog signal the manager acts on. The private
-    // samples() vector stays as the compatibility accessor.
+    // see the same backlog signal the manager acts on; the peak and the
+    // actionable mean accumulate as samples are taken, and no history is
+    // kept.
     sim::Engine& eng = cluster_->engine();
     std::vector<lmas::obs::Gauge*> host_gauges, asu_gauges;
     std::vector<lmas::obs::Gauge*> host_pressure, asu_pressure;
@@ -225,7 +221,7 @@ class LoadMonitor {
       asu_service_base.push_back(cluster_->asu(a).cpu().total_service());
     }
 
-    for (std::size_t i = 0; i < max_samples; ++i) {
+    for (std::size_t i = 0; i < kMaxMonitorSamples; ++i) {
       co_await eng.sleep(period_);
       if (stop_requested_) break;
       LoadSample s;
@@ -242,7 +238,6 @@ class LoadMonitor {
         s.host_backlog.push_back(b);
         s.host_offered.push_back(offered);
         host_service_base[h] = total;
-        s.host_rate.push_back(n.speed() * n.cpu().rate_scale());
         host_gauges[h]->set(b);
         host_pressure[h]->set((b + offered) / period_);
       }
@@ -254,11 +249,19 @@ class LoadMonitor {
         s.asu_backlog.push_back(b);
         s.asu_offered.push_back(offered);
         asu_service_base[a] = total;
-        s.asu_rate.push_back(n.speed() * n.cpu().rate_scale());
         asu_gauges[a]->set(b);
         asu_pressure[a]->set((b + offered) / period_);
       }
-      imbalance_gauge.set(s.host_imbalance());
+      const auto host_load = s.host_load();
+      const double imb = LoadSample::imbalance(host_load);
+      imbalance_gauge.set(imb);
+      peak_imbalance_ = std::max(peak_imbalance_, imb);
+      if (!host_load.empty() &&
+          *std::max_element(host_load.begin(), host_load.end()) / period_ >=
+              kMinActionableLoad) {
+        actionable_sum_ += imb;
+        ++actionable_;
+      }
       if (rack_imbalance_gauge != nullptr) {
         const auto racks = s.rack_load(topo);
         for (unsigned r = 0; r < topo.racks; ++r) {
@@ -282,9 +285,8 @@ class LoadMonitor {
         return std::all_of(v.begin(), v.end(),
                            [](double x) { return x <= 0; });
       };
-      const bool all_idle = idle(s.host_load()) && idle(s.asu_load());
-      samples_.push_back(std::move(s));
-      if (observer_) observer_(samples_.back());
+      const bool all_idle = idle(host_load) && idle(s.asu_load());
+      if (observer_) observer_(s);
       // Two consecutive all-idle samples after any work: the workload has
       // drained; stop so the monitor does not keep the event queue alive
       // forever. A single idle sample is not enough — DSM-Sort-style
@@ -301,8 +303,10 @@ class LoadMonitor {
 
   asu::Cluster* cluster_;
   double period_;
-  std::vector<LoadSample> samples_;
   std::function<void(const LoadSample&)> observer_;
+  double peak_imbalance_ = 0;
+  double actionable_sum_ = 0;
+  std::size_t actionable_ = 0;
   bool saw_work_ = false;
   bool stop_when_idle_ = true;
   bool stop_requested_ = false;
@@ -360,7 +364,7 @@ struct MigrationDeclaration {
   double dirty_fraction = 0.125;
 
   /// Total bytes a move of this instance ships while stalled under
-  /// stop-copy — the quantity the placer's byte budget meters.
+  /// stop-copy — the quantity the placer prices.
   [[nodiscard]] std::size_t declared_bytes() const {
     return (working_set_bytes ? working_set_bytes() : 0) + overhead_bytes;
   }
@@ -395,42 +399,25 @@ struct PlacerDecision {
   double gain = 0;
 };
 
-/// Tuning for the control loop. The defaults follow the hysteresis /
-/// cooldown discipline of Section 3.3's reconfiguration discussion: act
-/// only on a *sustained* signal, then hold still long enough for the last
-/// action's effect to show up in the signal before acting again.
+/// Tuning for the control loop; the thresholds are the k* constants
+/// above. The defaults follow the hysteresis / cooldown discipline of
+/// Section 3.3's reconfiguration discussion: act only on a *sustained*
+/// signal, then hold still long enough for the last action's effect to
+/// show up in the signal before acting again.
 struct LoadManagerConfig {
   LoadManagerMode mode = LoadManagerMode::Off;
 
-  /// Monitor sampling period (simulated seconds) and sample budget.
+  /// Monitor sampling period (simulated seconds).
   double period = 0.05;
-  std::size_t max_samples = 10000;
 
-  /// Router hot-swap thresholds on host imbalance (0 = even, 1 = all on
-  /// one node). Promote static -> dynamic when imbalance holds at or
-  /// above `promote_imbalance` for `promote_hysteresis` consecutive
-  /// samples; demote back when it holds at or below `demote_imbalance`.
-  /// The gap between the two watermarks prevents threshold chatter.
-  bool router_swap = true;
-  double promote_imbalance = 0.25;
-  double demote_imbalance = 0.10;
+  /// Consecutive samples past a router watermark before the router is
+  /// promoted (imbalance >= kPromoteImbalance) or demoted (imbalance <=
+  /// kDemoteImbalance).
   std::size_t promote_hysteresis = 2;
   std::size_t demote_hysteresis = 4;
 
-  /// Ignore imbalance while the busiest host's load (queued + offered
-  /// this window) is under this fraction of the sampling window: ratios
-  /// over near-zero loads are noise (a drained cluster with one 1ms
-  /// straggler reads as imbalance 1.0). Expressed in utilization units so
-  /// one floor works across sampling periods.
-  double min_actionable_load = 0.05;
-
-  /// Functor migration: move an instance only when its node's projected
-  /// drain time exceeds the best candidate's post-move drain time by
-  /// `migrate_factor`, sustained for `migrate_hysteresis` samples. The
-  /// factor absorbs both the migration overhead and estimation error —
-  /// near-even moves never pay for themselves.
-  bool migration = true;
-  double migrate_factor = 2.0;
+  /// Consecutive samples with an admissible move (load here >=
+  /// kMigrateFactor × load there) before the placer plans one.
   std::size_t migrate_hysteresis = 2;
 
   /// After any action: samples to hold still before the next action.
@@ -438,24 +425,12 @@ struct LoadManagerConfig {
   /// Per-instance lockout after its own migration (anti-ping-pong).
   std::size_t dwell_samples = 8;
 
-  /// Migration budget, metered per manager tick across ALL clients. The
-  /// defaults (one move, unlimited bytes) reproduce the pre-economy
-  /// one-move-per-tick arbiter exactly. Raising budget_moves_per_tick
-  /// lets the placer admit several moves in one gate opening (greedy by
-  /// gain, with a virtual-rebalance update between admissions so it
-  /// never piles two moves onto the same cold node); lowering
-  /// budget_bytes_per_tick makes state-heavy instances inadmissible
-  /// until they drain.
+  /// Moves the placer admits per manager tick across ALL clients. The
+  /// default reproduces the one-move-per-tick arbiter; raising it lets
+  /// one gate opening admit several moves (greedy by gain, with a
+  /// virtual-rebalance update between admissions so it never piles two
+  /// moves onto the same cold node).
   std::size_t budget_moves_per_tick = 1;
-  std::size_t budget_bytes_per_tick = std::size_t(-1);
-
-  /// Pre-copy selection threshold: when an admitted move's stop-copy
-  /// stall estimate (declared bytes × declared wire cost) exceeds this
-  /// fraction of the sampling window, the placer orders pre-copy
-  /// instead — the bulk ships in the background and only
-  /// overhead + dirty-delta bytes ship stalled. Declarations without a
-  /// wire cost always stop-copy (stall estimate 0).
-  double precopy_stall_fraction = 0.25;
 
   /// Throws std::invalid_argument when a monitor would be built (mode
   /// not Off) with a non-positive sampling period: a zero-length sleep
@@ -490,8 +465,8 @@ struct LoadManagerEvent {
 /// counters; a labeled client (one per tenant) additionally charges
 /// per-tenant `lm.<label>.*` counters, and its journal lines carry the
 /// label. Decisions are arbitrated globally: one shared cooldown and one
-/// migration *budget* per tick across ALL clients' instances (moves and
-/// bytes, LoadManagerConfig::budget_*), chosen against aggregate
+/// migration budget per tick across ALL clients' instances
+/// (LoadManagerConfig::budget_moves_per_tick), chosen against aggregate
 /// per-node load read directly off the candidate nodes and priced from
 /// each instance's MigrationDeclaration.
 ///
@@ -655,7 +630,7 @@ class LoadManager {
   }
 
   void maybe_switch_router(Client& cl, const LoadSample& s) {
-    if (!cl.active || cl.router == nullptr || !cfg_.router_swap) return;
+    if (!cl.active || cl.router == nullptr) return;
     const auto load = s.host_load();
     const double imb = LoadSample::imbalance(load);
     const double peak_util =
@@ -663,8 +638,8 @@ class LoadManager {
             ? 0
             : *std::max_element(load.begin(), load.end()) / window(s);
     if (!cl.router->dynamic_active()) {
-      const bool hot = imb >= cfg_.promote_imbalance &&
-                       peak_util >= cfg_.min_actionable_load;
+      const bool hot =
+          imb >= kPromoteImbalance && peak_util >= kMinActionableLoad;
       cl.promote_streak = hot ? cl.promote_streak + 1 : 0;
       if (cl.promote_streak >= cfg_.promote_hysteresis &&
           cooldown_left_ == 0) {
@@ -678,8 +653,7 @@ class LoadManager {
       }
     } else {
       // No backlog floor on the way down: an idle cluster is even.
-      cl.demote_streak =
-          imb <= cfg_.demote_imbalance ? cl.demote_streak + 1 : 0;
+      cl.demote_streak = imb <= kDemoteImbalance ? cl.demote_streak + 1 : 0;
       if (cl.demote_streak >= cfg_.demote_hysteresis && cooldown_left_ == 0) {
         cl.router->demote();
         cl.switches->inc();
@@ -718,7 +692,6 @@ class LoadManager {
   /// factor + dwell absorb the transient where the old node is still
   /// draining work the instance left behind.
   void maybe_plan_migration(const LoadSample& s) {
-    if (!cfg_.migration) return;
     // Refresh every client's candidate load vector once per tick (queued
     // backlog + offered-work delta since the previous tick, in
     // wall-seconds on each node's own CPU). Baselines advance every tick
@@ -736,7 +709,7 @@ class LoadManager {
       }
     }
 
-    const auto best_move = [&](std::size_t bytes_left) {
+    const auto best_move = [&] {
       Move best;
       for (std::size_t c = 0; c < clients_.size(); ++c) {
         Client& cl = clients_[c];
@@ -750,13 +723,12 @@ class LoadManager {
           if (from_it == cl.candidates.end()) continue;
           const std::size_t fj = std::size_t(from_it - cl.candidates.begin());
           const double load_here = load[fj];
-          if (load_here / window(s) < cfg_.min_actionable_load) continue;
+          if (load_here / window(s) < kMinActionableLoad) continue;
           const std::size_t bytes = cl.declarations[i].declared_bytes();
-          if (bytes > bytes_left) continue;  // over the byte budget: wait
           for (std::size_t j = 0; j < cl.candidates.size(); ++j) {
             asu::Node* to = cl.candidates[j];
             if (to == from || !to->running()) continue;
-            if (load_here >= cfg_.migrate_factor * load[j] &&
+            if (load_here >= kMigrateFactor * load[j] &&
                 load_here - load[j] > best.plan.gain) {
               best.c = c;
               best.i = i;
@@ -772,30 +744,25 @@ class LoadManager {
     };
 
     // The hysteresis streak counts ticks where at least one admissible
-    // move exists (gain, factor, actionability, AND byte budget — a move
-    // too fat for the per-tick budget cannot sustain the streak).
-    const bool any = best_move(cfg_.budget_bytes_per_tick).plan.to != nullptr;
+    // move exists (gain, factor and actionability).
+    const bool any = best_move().plan.to != nullptr;
     migrate_streak_ = any ? migrate_streak_ + 1 : 0;
     if (!any || migrate_streak_ < cfg_.migrate_hysteresis ||
         cooldown_left_ != 0) {
       return;
     }
 
-    // Gate open: greedily admit moves by descending gain until either
+    // Gate open: greedily admit moves by descending gain until the move
     // budget is exhausted. After each admission the admitted pair's
     // loads are virtually rebalanced to their mean so a second move in
     // the same tick never dog-piles the node the first move just chose
     // (the classic budgeted-placer failure mode).
-    std::size_t moves_left = cfg_.budget_moves_per_tick;
-    std::size_t bytes_left = cfg_.budget_bytes_per_tick;
     std::size_t planned = 0;
-    while (moves_left > 0) {
-      const Move m = best_move(bytes_left);
+    while (planned < cfg_.budget_moves_per_tick) {
+      const Move m = best_move();
       if (m.plan.to == nullptr) break;
       Client& cl = clients_[m.c];
       cl.pending[m.i] = m.plan;
-      --moves_left;
-      bytes_left -= m.plan.bytes;
       ++planned;
       auto& load = loads[m.c];
       const double mean = (load[m.from_j] + load[m.to_j]) / 2.0;
@@ -818,7 +785,7 @@ class LoadManager {
 
   /// Price a move from the instance's declaration: stop-copy stalls for
   /// the whole declared state; pre-copy is chosen when that stall would
-  /// exceed `precopy_stall_fraction` of the sampling window AND the
+  /// exceed kPrecopyStallFraction of the sampling window AND the
   /// declaration carries both a wire cost and bulk state worth shipping
   /// in the background.
   [[nodiscard]] MigrationPlan price(const MigrationDeclaration& decl,
@@ -831,7 +798,7 @@ class LoadManager {
     const std::size_t ws = bytes - decl.overhead_bytes;
     const double stop_stall = double(bytes) * decl.wire_seconds_per_byte;
     if (decl.wire_seconds_per_byte > 0 && ws > 0 &&
-        stop_stall > cfg_.precopy_stall_fraction * win) {
+        stop_stall > kPrecopyStallFraction * win) {
       p.mode = MigrationMode::PreCopy;
       p.est_stall =
           (double(decl.overhead_bytes) + decl.dirty_fraction * double(ws)) *

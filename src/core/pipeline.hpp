@@ -161,13 +161,6 @@ class StageOutput {
   StageOutput(const StageOutput&) = delete;
   StageOutput& operator=(const StageOutput&) = delete;
 
-  [[nodiscard]] std::size_t target_count() const noexcept {
-    return endpoints_.size();
-  }
-  [[nodiscard]] asu::Node& target_node(std::size_t i) {
-    return *endpoints_.at(i).node;
-  }
-
   /// Re-pin an instance's inbox to a new node (functor migration):
   /// subsequent transfers are charged to the new location. Packets
   /// already in flight complete against the old accounting.
@@ -177,21 +170,12 @@ class StageOutput {
     targets_dirty_ = true;
   }
 
-  /// Degraded-mode delivery contract (see fault::FaultPlan): how long an
-  /// in-flight packet waits before re-entering the router when its target
-  /// crashes under it, and how many re-routes it attempts before parking
-  /// until that replica recovers.
-  void set_fault_retry(double timeout, std::size_t max_retries) {
-    assert(timeout > 0);
-    retry_timeout_ = timeout;
-    max_retries_ = max_retries;
-  }
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
-    return packets_sent_;
-  }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept {
-    return records_sent_;
-  }
+  /// Degraded-mode delivery contract: an in-flight packet whose target
+  /// crashes waits kRetryTimeout and re-enters the router, at most
+  /// kMaxRetries times, then parks until that replica recovers. Packets
+  /// are never dropped, so records are conserved under every fault plan.
+  static constexpr double kRetryTimeout = 1e-3;
+  static constexpr std::size_t kMaxRetries = 8;
 
   /// Record-buffer recycler for this stage's traffic: producers acquire
   /// staging buffers here and the consumers on the other end of the
@@ -235,8 +219,6 @@ class StageOutput {
       co_await slot_free_.wait();
     }
     ++inflight_;
-    ++packets_sent_;
-    records_sent_ += p.records.size();
     const std::size_t bytes = p.wire_bytes(record_bytes_);
     packets_counter_->inc();
     records_counter_->inc(p.records.size());
@@ -345,16 +327,16 @@ class StageOutput {
       // The receiver crashed while this packet was in flight. Retry with
       // timeout: wait, then re-enter the router over the healthy actives
       // and physically move the packet there (transfer is re-paid). After
-      // max_retries_ park until *this* replica recovers — the packet is
+      // kMaxRetries park until *this* replica recovers — the packet is
       // owned either way, never dropped, so record conservation holds.
-      if (tries < max_retries_) {
+      if (tries < kMaxRetries) {
         ++tries;
         fault_retries().inc();
         if (p.trace_id != 0 && eng_->tracer().enabled()) {
           eng_->tracer().flow_step(track_, "retry i" + std::to_string(idx),
                                    eng_->now(), p.trace_id);
         }
-        co_await eng_->sleep(retry_timeout_);
+        co_await eng_->sleep(kRetryTimeout);
         refresh_active();
         if (!active_.empty()) {
           idx = active_index_[router_->pick(p, active_)];
@@ -416,8 +398,6 @@ class StageOutput {
   std::vector<std::size_t> active_index_;
   std::uint64_t seen_epoch_ = 0;  ///< 0 forces the first refresh
   bool targets_dirty_ = false;
-  double retry_timeout_ = 1e-3;
-  std::size_t max_retries_ = 8;
   std::unique_ptr<RoutingPolicy> router_;
   unsigned producers_left_;
   std::size_t window_;
@@ -425,8 +405,6 @@ class StageOutput {
   std::size_t inflight_ = 0;
   sim::Condition slot_free_;
   sim::Condition drained_;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t records_sent_ = 0;
   PacketPool pool_;
   std::string name_;
   std::string metrics_prefix_;

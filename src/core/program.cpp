@@ -7,6 +7,9 @@
 
 namespace lmas::core {
 
+/// Inbox depth per stage instance, in packets.
+constexpr std::size_t kInboxPackets = 64;
+
 struct Program::StageRt {
   ProgramStageSpec spec;
   std::unique_ptr<StageInboxes> inboxes;
@@ -161,7 +164,7 @@ ProgramStats Program::run() {
   for (std::size_t i = 0; i < im.stages.size(); ++i) {
     StageRt& st = *im.stages[i];
     st.inboxes = std::make_unique<StageInboxes>(
-        *im.eng, st.spec.placement.size(), st.spec.inbox_packets);
+        *im.eng, st.spec.placement.size(), kInboxPackets);
     const unsigned producers =
         i == 0 ? unsigned(im.src_nodes.size())
                : unsigned(im.stages[i - 1]->spec.placement.size());

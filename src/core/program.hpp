@@ -28,8 +28,6 @@ struct ProgramStageSpec {
   RouterKind router = RouterKind::RoundRobin;
   /// For Static routing: total subset count (contiguous block ownership).
   std::uint32_t router_subsets = 0;
-  /// Inbox depth per instance, in packets.
-  std::size_t inbox_packets = 64;
 };
 
 struct StageStats {

@@ -35,31 +35,15 @@ struct FaultSpec {
   double jitter = 0;          ///< LinkDelay: uniform jitter amplitude
 
   [[nodiscard]] double end() const noexcept { return at + duration; }
-  [[nodiscard]] const char* kind_name() const noexcept {
-    switch (kind) {
-      case Kind::Slowdown: return "slowdown";
-      case Kind::Crash: return "crash";
-      case Kind::LinkDelay: return "link-delay";
-    }
-    return "?";
-  }
 };
 
-/// A reproducible fault schedule plus the degraded-mode delivery contract
-/// (how long a sender waits before re-routing a packet aimed at a replica
-/// that crashed while the packet was in flight, and how many re-routes it
-/// attempts before parking until recovery).
+/// A reproducible fault schedule. Senders ride it out under the
+/// retry-with-timeout contract of core::StageOutput (kRetryTimeout,
+/// kMaxRetries): a packet whose replica crashed while it was in flight
+/// re-enters the router over the healthy targets, then parks until
+/// recovery. Packets are never dropped.
 struct FaultPlan {
   std::vector<FaultSpec> events;
-
-  /// Retry-with-timeout contract for in-flight packets (see
-  /// core::StageOutput::deliver): wait `retry_timeout`, re-enter the
-  /// router over the healthy target set, at most `max_retries` times;
-  /// afterwards park on the health board until the chosen replica
-  /// recovers. Packets are never dropped — record conservation holds
-  /// under every plan.
-  double retry_timeout = 1e-3;
-  std::size_t max_retries = 8;
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return events.size(); }

@@ -11,6 +11,9 @@
 
 namespace lmas::obs {
 
+/// Samples a Sampler's rings keep per probe (oldest evicted beyond this).
+inline constexpr std::size_t kSamplerCapacity = 4096;
+
 /// Bounded ring of samples. Once full, the OLDEST samples are evicted —
 /// a long run keeps its most recent window, and `dropped()` says how much
 /// history scrolled off. Eviction is purely a function of push count, so
@@ -65,10 +68,9 @@ class TimeSeries {
 /// in registration order, which is deterministic per configuration.
 class Sampler {
  public:
-  explicit Sampler(double period_seconds, std::size_t capacity = 4096)
+  explicit Sampler(double period_seconds)
       : period_(period_seconds > 0 ? period_seconds : 1.0),
-        capacity_(capacity),
-        times_(capacity),
+        times_(kSamplerCapacity),
         next_(period_) {}
 
   Sampler(const Sampler&) = delete;
@@ -77,7 +79,7 @@ class Sampler {
   void add_probe(std::string name, std::function<double()> probe) {
     names_.push_back(std::move(name));
     probes_.push_back(std::move(probe));
-    series_.emplace_back(capacity_);
+    series_.emplace_back(kSamplerCapacity);
   }
 
   /// True when sim time `t` has reached the next sampling boundary.
@@ -101,16 +103,13 @@ class Sampler {
   [[nodiscard]] std::uint64_t sample_count() const noexcept {
     return samples_;
   }
-  [[nodiscard]] std::size_t probe_count() const noexcept {
-    return probes_.size();
-  }
 
   /// {"period", "capacity", "samples", "dropped", "times": [...],
   ///  "series": {probe: [...]}} — series in probe registration order.
   [[nodiscard]] Json to_json() const {
     Json j = Json::object();
     j["period"] = Json(period_);
-    j["capacity"] = Json(capacity_);
+    j["capacity"] = Json(kSamplerCapacity);
     j["samples"] = Json(samples_);
     j["dropped"] = Json(times_.dropped());
     j["times"] = Json::array_of(times_.values());
@@ -124,7 +123,6 @@ class Sampler {
 
  private:
   double period_;
-  std::size_t capacity_;
   std::vector<std::string> names_;
   std::vector<std::function<double()>> probes_;
   std::vector<TimeSeries> series_;

@@ -189,12 +189,12 @@ class TenantScheduler {
   TenancyReport run() {
     accum_.assign(cfg_.tenants.size(), TenantAccum{});
 
-    if (cfg_.telemetry_histograms) {
-      job_hist_ = &eng_.metrics().latency("dsm.job_seconds");
-      for (const auto& ts : cfg_.tenants) {
-        tenant_hists_.push_back(
-            &eng_.metrics().latency("dsm.job_seconds." + ts.name));
-      }
+    // Job completion histograms (arrival → completion, admission wait
+    // included), aggregate and per tenant: tail latency is the product.
+    job_hist_ = &eng_.metrics().latency("dsm.job_seconds");
+    for (const auto& ts : cfg_.tenants) {
+      tenant_hists_.push_back(
+          &eng_.metrics().latency("dsm.job_seconds." + ts.name));
     }
 
     // Shared management layer: one monitor feeding one cross-job
@@ -298,8 +298,8 @@ class TenantScheduler {
     // Completion time includes the admission wait: arrival → done is
     // what a tenant experiences, and what the fig_tenancy tail reports.
     const double completion = eng_.now() - ev.time;
-    if (job_hist_ != nullptr) job_hist_->observe(completion);
-    if (!tenant_hists_.empty()) tenant_hists_[ev.tenant]->observe(completion);
+    job_hist_->observe(completion);
+    tenant_hists_[ev.tenant]->observe(completion);
     TenantAccum& acc = accum_[ev.tenant];
     acc.jobs += 1;
     acc.records_in += out.records_in;
@@ -326,9 +326,6 @@ class TenantScheduler {
     jc.label = label;
     jc.metrics_scope = ts.name;
     jc.fair_share_weight = ts.fair_share_weight;
-    // The retry contract rides along; the injector does not (the
-    // control plane owns the cluster's one fault timeline).
-    jc.faults = cfg_.faults;
     // Build hint: Manage makes the job construct its SwitchableRouter so
     // the shared manager has something to promote/demote.
     jc.load_manager = cfg_.load_manager;
@@ -456,11 +453,9 @@ class TenantScheduler {
     rep.admission_waits = admission_waits_;
     rep.goodput_jobs_per_sec =
         rep.makespan > 0 ? double(jobs_completed_) / rep.makespan : 0;
-    if (job_hist_ != nullptr) {
-      rep.mean_job_seconds = job_hist_->mean();
-      rep.p50_job_seconds = job_hist_->quantile(0.5);
-      rep.p99_job_seconds = job_hist_->quantile(0.99);
-    }
+    rep.mean_job_seconds = job_hist_->mean();
+    rep.p50_job_seconds = job_hist_->quantile(0.5);
+    rep.p99_job_seconds = job_hist_->quantile(0.99);
     rep.conservation_ok = true;
     for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
       TenantStats st;
@@ -470,11 +465,9 @@ class TenantScheduler {
       st.records_out = accum_[t].records_out;
       st.conservation_ok = accum_[t].conservation_ok;
       rep.conservation_ok = rep.conservation_ok && st.conservation_ok;
-      if (!tenant_hists_.empty()) {
-        st.mean_job_seconds = tenant_hists_[t]->mean();
-        st.p50_job_seconds = tenant_hists_[t]->quantile(0.5);
-        st.p99_job_seconds = tenant_hists_[t]->quantile(0.99);
-      }
+      st.mean_job_seconds = tenant_hists_[t]->mean();
+      st.p50_job_seconds = tenant_hists_[t]->quantile(0.5);
+      st.p99_job_seconds = tenant_hists_[t]->quantile(0.99);
       if (!tenant_migrations_.empty()) {
         st.lm_migrations = tenant_migrations_[t]->value();
         st.lm_router_switches = tenant_switches_[t]->value();
@@ -482,7 +475,7 @@ class TenantScheduler {
       rep.tenants.push_back(std::move(st));
     }
     rep.arrival_fingerprint = arrivals_.fingerprint();
-    plane_.finish(rep, cfg_.telemetry_histograms);
+    plane_.finish(rep, /*latency_summaries=*/true);
     return rep;
   }
 

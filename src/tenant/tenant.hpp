@@ -75,13 +75,8 @@ struct TenancyConfig {
   /// by tenant so lm.<tenant>.* counters aggregate per tenant).
   core::LoadManagerConfig load_manager;
 
-  /// Register dsm.job_seconds and per-tenant dsm.job_seconds.<name>
-  /// completion histograms (arrival → completion, admission wait
-  /// included). On by default: tail latency is the product here.
-  bool telemetry_histograms = true;
-
-  /// Cluster-level fault timeline, injected once by the scheduler (jobs
-  /// inherit only the retry contract). Empty = no injector spawned.
+  /// Cluster-level fault timeline, injected once by the scheduler. Empty =
+  /// no injector spawned.
   fault::FaultPlan faults;
 
   /// Chrome-trace export path ("" = tracing off).

@@ -5,6 +5,8 @@
 // copy-pasteable repro command (LMAS_CHECK_SEED=... lmas_check property).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "check/suites.hpp"
 
 namespace check = lmas::check;
@@ -92,6 +94,18 @@ TEST(Property, PodBalanceContractsHold) {
 TEST(Property, InvalidConfigsAreRejectedAtEntryValidOnesComplete) {
   const auto f = check::suite("config-fuzz").run(kCases, kSeed);
   ASSERT_FALSE(f.has_value()) << f->describe();
+}
+
+TEST(Property, MigrationEconomyHoldsAndPricesBothModes) {
+  const auto f = check::suite("migration-economy").run(kCases, kSeed);
+  ASSERT_FALSE(f.has_value()) << f->describe();
+  // With the pre-copy threshold fixed, the generated cases must still
+  // reach both sides of it.
+  const check::PricedModes modes = check::migration_economy_priced_modes();
+  std::printf("migration-economy: %zu cases priced pre-copy, %zu stop-copy\n",
+              modes.precopy, modes.stopcopy);
+  EXPECT_GT(modes.precopy, 0u);
+  EXPECT_GT(modes.stopcopy, 0u);
 }
 
 TEST(Property, HostKernelsMatchTheCodeTheyReplaced) {

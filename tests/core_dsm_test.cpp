@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "asu/asu.hpp"
 #include "core/core.hpp"
+#include "fault/injector.hpp"
 
 namespace core = lmas::core;
 namespace asu = lmas::asu;
@@ -376,58 +380,99 @@ TEST(DsmSort, SeedChangesDataButNotCorrectness) {
   EXPECT_NE(a.pass1_seconds, b.pass1_seconds);  // different keys, new timing
 }
 
+// Two racks (host0 + asu0..3 | host1 + asu4..7) over a 2:1
+// oversubscribed spine.
+asu::TopologySpec two_racks(const asu::MachineParams& mp) {
+  auto topo = asu::TopologySpec::flat(mp);
+  topo.racks = 2;
+  topo.spine = asu::TierSpec{.latency = 0.001, .bandwidth = 1e9,
+                             .oversubscription = 2.0};
+  return topo;
+}
+
+// Differential oracle for the embedded path on a hierarchical machine:
+// two labeled DsmSortJobs share one engine, one cross-job LoadManager and
+// one fault timeline (a sort host, then a store ASU, crash while packets
+// are in flight to them, so deliveries retry and park). The digest and
+// the metrics fingerprint were computed before the load-manager,
+// fault-retry and rack-affinity options became constants.
+TEST(DsmSort, HierarchicalFaultedManagedJobsArePinned) {
+  const auto mp = machine(2, 8);
+  lmas::sim::Engine eng;
+  asu::Cluster cluster(eng, two_racks(mp));
+  lmas::fault::FaultPlan plan;
+  plan.crash(/*on_asu=*/false, /*node=*/1, /*at=*/0.015, /*duration=*/0.004);
+  plan.crash(/*on_asu=*/true, /*node=*/5, /*at=*/0.028, /*duration=*/0.01);
+  plan.slowdown(/*on_asu=*/false, /*node=*/0, /*at=*/0.002,
+                /*duration=*/0.02, /*factor=*/3.0);
+  lmas::fault::FaultInjector injector(
+      cluster, plan,
+      lmas::sim::Rng(7).stream(lmas::sim::stream_id("faults")));
+  eng.spawn(injector.run(), "fault-injector");
+
+  core::LoadManagerConfig lm;
+  lm.mode = core::LoadManagerMode::Manage;
+  lm.period = 0.001;
+  core::LoadMonitor monitor(cluster, lm.period);
+  core::LoadManager manager(eng, lm);
+  monitor.set_observer(
+      [&manager](const core::LoadSample& s) { manager.on_sample(s); });
+  monitor.start();
+
+  std::vector<std::unique_ptr<core::DsmSortJob>> jobs;
+  for (const char* label : {"a", "b"}) {
+    auto cfg = small_config(1 << 15);
+    cfg.key_dist = core::KeyDist::Exponential;
+    cfg.label = label;
+    cfg.load_manager = lm;
+    jobs.push_back(std::make_unique<core::DsmSortJob>(eng, cluster, cfg));
+    jobs.back()->attach_manager(manager, label);
+    eng.spawn(jobs.back()->body(), std::string(label) + ".job");
+  }
+  eng.run();
+  for (const auto& job : jobs) {
+    ASSERT_TRUE(job->finished());
+    EXPECT_TRUE(job->report().ok());
+  }
+  const auto metrics = eng.metrics().snapshot();
+  // The run exercises every path the oracle guards: in-flight retries
+  // after a crash (`*.fault_retries` registers at the first retry),
+  // router swaps and at least one migration.
+  EXPECT_NE(metrics.dump().find(".fault_retries"), std::string::npos);
+  EXPECT_GT(manager.router_switches(), 0u);
+  EXPECT_GT(manager.migrations(), 0u);
+  EXPECT_EQ(eng.digest(), 0xe52ba4273c9cfc0eULL);
+  EXPECT_EQ(lmas::sim::fnv1a64(metrics.dump()), 0xbe85da9bab9cd9f7ULL);
+}
+
 // Regression: run-storage placement used to be topology-blind — every
 // sort host scattered its runs round-robin over ALL ASUs, so on a
 // hierarchical spec roughly (racks-1)/racks of the stored bytes crossed
-// the oversubscribed spine for no reason. With rack_affinity_store each
-// sort host prefers ASUs in its own rack; the spine resources record
-// exactly the cross-rack seconds, so the preference is directly
-// measurable.
-TEST(DsmSort, RackAffinityStoreReducesCrossRackTraffic) {
+// the oversubscribed spine for no reason. Now each sort host stores its
+// runs on the ASUs of its own rack: per rack, the records its ASUs store
+// are exactly the records its host sorted.
+TEST(DsmSort, RackAffinityStoreKeepsRunsInTheirRack) {
   const auto mp = machine(2, 8);
-  auto topo = asu::TopologySpec::flat(mp);
-  topo.racks = 2;  // host0+asu0..3 in rack 0, host1+asu4..7 in rack 1
-  topo.spine = asu::TierSpec{.latency = 0.001, .bandwidth = 1e9,
-                             .oversubscription = 2.0};
-
-  const auto spine_seconds = [&](bool affinity) {
-    auto cfg = small_config();
-    cfg.rack_affinity_store = affinity;
-    lmas::sim::Engine eng;
-    asu::Cluster cluster(eng, topo);
-    core::DsmSortJob job(eng, cluster, cfg);
-    eng.spawn(job.body(), "rack-affinity-job");
-    eng.run();
-    EXPECT_TRUE(job.finished());
-    EXPECT_TRUE(job.report().ok());
-    double s = 0;
-    for (unsigned r = 0; r < topo.racks; ++r) {
-      s += cluster.network().spine(r).total_service();
-    }
-    return s;
-  };
-
-  const double blind = spine_seconds(false);
-  const double affine = spine_seconds(true);
-  // Distribute traffic (host -> sorting host) still crosses racks as the
-  // splitter dictates, but run storage stays rack-local, so total spine
-  // occupancy must drop strictly.
-  EXPECT_GT(blind, 0.0);
-  EXPECT_LT(affine, blind);
-}
-
-TEST(DsmSort, RackAffinityFlagIsFlatNeutral) {
-  // On a flat topology the flag must not change a single event: there is
-  // no rack structure to prefer, and the pinned goldens (all flat) must
-  // stand whatever its value.
-  auto cfg = small_config();
-  cfg.rack_affinity_store = true;
-  const auto on = core::run_dsm_sort(machine(2, 8), cfg);
-  cfg.rack_affinity_store = false;
-  const auto off = core::run_dsm_sort(machine(2, 8), cfg);
-  EXPECT_TRUE(on.ok());
-  EXPECT_EQ(on.digest, off.digest);
-  EXPECT_EQ(on.pass1_seconds, off.pass1_seconds);
+  const auto topo = two_racks(mp);
+  lmas::sim::Engine eng;
+  asu::Cluster cluster(eng, topo);
+  core::DsmSortJob job(eng, cluster, small_config());
+  eng.spawn(job.body(), "rack-affinity-job");
+  eng.run();
+  ASSERT_TRUE(job.finished());
+  ASSERT_TRUE(job.report().ok());
+  const auto& sorted = job.report().records_sorted_per_host;
+  std::vector<std::uint64_t> stored(topo.racks, 0);
+  for (unsigned a = 0; a < mp.num_asus; ++a) {
+    const auto* c = eng.metrics().find_counter(
+        "functor.store" + std::to_string(a) + ".records");
+    ASSERT_NE(c, nullptr) << a;
+    stored[topo.rack_of_asu(a)] += c->value();
+  }
+  for (unsigned h = 0; h < mp.num_hosts; ++h) {
+    EXPECT_GT(sorted[h], 0u) << h;
+    EXPECT_EQ(stored[topo.rack_of_host(h)], sorted[h]) << "host " << h;
+  }
 }
 
 }  // namespace

@@ -100,7 +100,6 @@ core::LoadSample sample_at(double t, std::vector<double> host_backlog) {
   core::LoadSample s;
   s.time = t;
   s.host_backlog = std::move(host_backlog);
-  s.host_rate.assign(s.host_backlog.size(), 1.0);
   return s;
 }
 
@@ -174,13 +173,11 @@ TEST(LoadManager, PlansMigrationOffOverloadedNodeWithDwell) {
   asu::Node* h0 = &cluster.host(0);
   asu::Node* h1 = &cluster.host(1);
 
-  auto cfg = manage_cfg();
-  cfg.router_swap = false;
-  core::LoadManager lm(eng, cfg);
+  core::LoadManager lm(eng, manage_cfg());
   const std::size_t c = lm.add_client("");
   lm.client_instances(c, {h0, h1}, {h0, h1});
 
-  // h0 drowning, h1 idle: drain_here / drain_there >> migrate_factor.
+  // h0 drowning, h1 idle: load_here / load_there >> kMigrateFactor.
   h0->cpu().post(10.0);
   EXPECT_EQ(target(lm, c, 0), nullptr);
   lm.on_sample(sample_at(0.1, {10.0, 0.0}));
@@ -218,7 +215,6 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   cfg.budget_moves_per_tick = 2;
   core::LoadManager lm(eng, cfg);
   const std::size_t c = lm.add_client("");
@@ -245,46 +241,6 @@ TEST(LoadManager, BudgetAdmitsMultipleMovesPerTick) {
   EXPECT_TRUE(to1 == hosts[2] || to1 == hosts[3]);
 }
 
-TEST(LoadManager, ByteBudgetMakesHeavyInstancesInadmissible) {
-  sim::Engine eng;
-  asu::MachineParams mp;
-  mp.num_hosts = 2;
-  mp.num_asus = 1;
-  asu::Cluster cluster(eng, mp);
-  asu::Node* h0 = &cluster.host(0);
-  asu::Node* h1 = &cluster.host(1);
-
-  auto cfg = manage_cfg();
-  cfg.router_swap = false;
-  cfg.budget_bytes_per_tick = 10000;  // ~10 KB per tick
-  core::LoadManager lm(eng, cfg);
-  core::MigrationDeclaration heavy;
-  heavy.working_set_bytes = [] { return std::size_t(1) << 20; };  // 1 MiB
-  const std::size_t c = lm.add_client("");
-  lm.client_instances(c, {h0, h1}, {h0, h1}, {heavy, {}});
-
-  // Sustained overload, but the instance's declared bytes exceed the
-  // tick budget every tick: the placer must never admit the move.
-  h0->cpu().post(10.0);
-  for (int i = 0; i < 6; ++i) {
-    lm.on_sample(sample_at(0.1 * (i + 1), {10.0, 0.0}));
-    EXPECT_EQ(target(lm, c, 0), nullptr);
-  }
-  EXPECT_EQ(lm.decisions().size(), 0u);
-
-  // Same pressure with the budget lifted: planned on the second sample,
-  // and the journal prices the declared megabyte.
-  cfg.budget_bytes_per_tick = std::size_t(-1);
-  core::LoadManager lifted(eng, cfg);
-  const std::size_t lc = lifted.add_client("");
-  lifted.client_instances(lc, {h0, h1}, {h0, h1}, {heavy, {}});
-  lifted.on_sample(sample_at(0.1, {10.0, 0.0}));
-  lifted.on_sample(sample_at(0.2, {10.0, 0.0}));
-  EXPECT_EQ(target(lifted, lc, 0), h1);
-  ASSERT_EQ(lifted.decisions().size(), 1u);
-  EXPECT_EQ(lifted.decisions()[0].bytes, (std::size_t(1) << 20) + 4096);
-}
-
 TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   sim::Engine eng;
   asu::MachineParams mp;
@@ -294,11 +250,9 @@ TEST(LoadManager, PricesPreCopyForBulkStateAndStopCopyForLight) {
   asu::Node* h0 = &cluster.host(0);
   asu::Node* h1 = &cluster.host(1);
 
-  auto cfg = manage_cfg();
-  cfg.router_swap = false;
   h0->cpu().post(10.0);
   const auto plan_with = [&](core::MigrationDeclaration decl) {
-    core::LoadManager lm(eng, cfg);
+    core::LoadManager lm(eng, manage_cfg());
     const std::size_t c = lm.add_client("");
     lm.client_instances(c, {h0, h1}, {h0, h1}, {std::move(decl), {}});
     lm.on_sample(sample_at(0.1, {10.0, 0.0}));
@@ -346,7 +300,6 @@ TEST(LoadManager, OneGateOpeningPlansOneMoveAcrossClients) {
   for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
 
   auto cfg = manage_cfg();
-  cfg.router_swap = false;
   cfg.budget_moves_per_tick = 1;
   core::LoadManager lm(eng, cfg);
   const std::size_t alice = lm.add_client("alice");
@@ -399,9 +352,7 @@ TEST(LoadManager, RemovedClientLosesPlanAndGetsNoLaterActions) {
   for (unsigned h = 0; h < 4; ++h) hosts.push_back(&cluster.host(h));
 
   // Migration: bob's host is the hotter one, so bob is planned first.
-  auto cfg = manage_cfg();
-  cfg.router_swap = false;
-  core::LoadManager lm(eng, cfg);
+  core::LoadManager lm(eng, manage_cfg());
   const std::size_t alice = lm.add_client("alice");
   const std::size_t bob = lm.add_client("bob");
   lm.client_instances(alice, {hosts[0]}, hosts);
@@ -428,9 +379,7 @@ TEST(LoadManager, RemovedClientLosesPlanAndGetsNoLaterActions) {
 
   // Router swaps: a detached client's router stays on its baseline while
   // a live client's router promotes on the same sustained imbalance.
-  auto swap_cfg = manage_cfg();
-  swap_cfg.migration = false;
-  core::LoadManager swapper(eng, swap_cfg);
+  core::LoadManager swapper(eng, manage_cfg());
   core::SwitchableRouter ra(std::make_unique<core::StaticPartitionRouter>(),
                             std::make_unique<core::RoundRobinRouter>());
   core::SwitchableRouter rb(std::make_unique<core::StaticPartitionRouter>(),
@@ -580,8 +529,6 @@ TEST(LoadSample, RackLoadAggregatesTheBlockPartition) {
   ASSERT_EQ(racks.size(), 2u);
   EXPECT_DOUBLE_EQ(racks[0], 1.0 + 1.0 + 2.0);
   EXPECT_DOUBLE_EQ(racks[1], 3.0 + 3.0 + 4.0);
-  EXPECT_DOUBLE_EQ(s.rack_imbalance(topo),
-                   core::LoadSample::imbalance({4.0, 10.0}));
 }
 
 sim::Task<> rack_gauge_work(asu::Cluster& cl) {

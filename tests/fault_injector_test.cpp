@@ -312,7 +312,6 @@ TEST(DegradedDelivery, AllReplicasCrashedParksUntilRecovery) {
                       .producers = 1,
                       .window_per_producer = 4,
                       .name = "parked_stage"});
-  out.set_fault_retry(1e-3, 2);
 
   std::vector<std::pair<double, core::Packet>> got0, got1;
   eng.spawn(consume(cluster.asu(0), inboxes.inbox(0), got0, eng));

@@ -271,6 +271,35 @@ bool has_job_component(const std::string& key) {
   return false;
 }
 
+// Differential oracle for the multi-tenant path: DSM-Sort, scan and
+// bulk-load jobs under the shared manager while one host runs 8x slow
+// and the other crashes mid-transfer. The digest and the metrics
+// fingerprint were computed before the load-manager, fault-retry and
+// tenancy-telemetry options became constants.
+TEST(Tenancy, ManagedFaultedMixedRunIsPinned) {
+  tenant::TenancyConfig cfg = mixed_config(12);
+  for (auto& ts : cfg.tenants) {
+    for (auto& m : ts.mix) m.records <<= 5;  // 32x the records per job
+  }
+  cfg.offered_rate = 100.0;
+  cfg.load_manager.period = 0.002;
+  cfg.faults.crash(/*on_asu=*/false, /*node=*/0, /*at=*/0.026,
+                   /*duration=*/0.004);
+  cfg.faults.slowdown(/*on_asu=*/false, /*node=*/1, /*at=*/0.002,
+                      /*duration=*/0.08, /*factor=*/8.0);
+  const auto rep = tenant::run_tenancy(machine(2, 4), cfg);
+  ASSERT_TRUE(rep.ok());
+  EXPECT_EQ(rep.jobs_completed, 12u);
+  // The run exercises every path the oracle guards: in-flight retries
+  // after the crash (`*.fault_retries` registers at the first retry),
+  // router swaps and migrations.
+  EXPECT_NE(rep.metrics.dump().find(".fault_retries"), std::string::npos);
+  EXPECT_GT(rep.lm_router_switches, 0u);
+  EXPECT_GT(rep.lm_migrations, 0u);
+  EXPECT_EQ(rep.digest, 0xb2901e3cd0b7e744ULL);
+  EXPECT_EQ(lmas::sim::fnv1a64(rep.metrics.dump()), 0x9bcd3825602ea8fbULL);
+}
+
 TEST(Tenancy, InstrumentKeySetDoesNotGrowWithJobs) {
   const auto few = tenant::run_tenancy(machine(2, 4), mixed_config(18));
   const auto many = tenant::run_tenancy(machine(2, 4), mixed_config(72));

@@ -5,6 +5,7 @@
 /// enabled (fig9_speedup's detailed cell, every fig10_adapt cell).
 ///
 ///   lmas_report [quantiles|series|tenants|racks|placer|all] BENCH_file.json
+///   lmas_report diff A.json B.json
 ///
 /// Blocks are found at the artifact root (fig9 style) and inside each
 /// `results[]` entry (sweep style, labeled by the entry's `cell` or
@@ -19,13 +20,20 @@
 /// planned migration — tick time, client, instance, route, pre-copy vs
 /// stop-copy, declared bytes, and the cost model's estimated stall and
 /// expected gain.
+///
+/// `diff` exits 0 when two artifacts are equal once the root fields that
+/// depend on the host machine (kMachineFields) are dropped; otherwise it
+/// prints the path of the first difference and exits 1.
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -258,15 +266,94 @@ void print_series(const Block& blk) {
   }
 }
 
+/// Root fields of an artifact that measure the host machine and the
+/// worker count (LMAS_JOBS), not the simulation: `diff` skips them.
+constexpr std::array<std::string_view, 5> kMachineFields = {
+    "jobs", "wall_clock_s", "cell_seconds_total", "parallel_speedup",
+    "events_per_sec"};
+
+/// The path ("/"-joined keys and indices) of the first place `a` and `b`
+/// differ, or nullopt when they are equal.
+std::optional<std::string> first_difference(const obs::Json& a,
+                                            const obs::Json& b,
+                                            const std::string& path,
+                                            bool root = false) {
+  if (a.type() != b.type()) return path;
+  if (a.is_array()) {
+    if (a.size() != b.size()) return path;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::string at = path + "/" + std::to_string(i);
+      if (auto d = first_difference(a.at(i), b.at(i), at)) return d;
+    }
+    return std::nullopt;
+  }
+  if (!a.is_object()) {  // a parsed scalar sets only its own field
+    if (a.as_bool() == b.as_bool() && a.as_double() == b.as_double() &&
+        a.as_string() == b.as_string()) {
+      return std::nullopt;
+    }
+    return path;
+  }
+  const auto compared = [root](const std::string& key) {
+    return !root || std::find(kMachineFields.begin(), kMachineFields.end(),
+                              key) == kMachineFields.end();
+  };
+  for (const auto& [key, value] : a.members()) {
+    if (!compared(key)) continue;
+    const obs::Json* other = b.find(key);
+    if (other == nullptr) return path + "/" + key;
+    if (auto d = first_difference(value, *other, path + "/" + key)) return d;
+  }
+  for (const auto& [key, value] : b.members()) {
+    if (compared(key) && a.find(key) == nullptr) return path + "/" + key;
+  }
+  return std::nullopt;
+}
+
+std::optional<obs::Json> load(const char* path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) {
+    std::fprintf(stderr, "lmas_report: cannot open %s\n", path);
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  auto doc = obs::Json::parse(ss.str());
+  if (!doc.has_value()) {
+    std::fprintf(stderr, "lmas_report: %s is not valid JSON\n", path);
+  }
+  return doc;
+}
+
+/// `lmas_report diff A B`: 0 when equal, 1 when they differ, 2 when
+/// either file cannot be read.
+int diff(const char* path_a, const char* path_b) {
+  const auto a = load(path_a);
+  const auto b = load(path_b);
+  if (!a || !b) return 2;
+  if (const auto d = first_difference(*a, *b, "", /*root=*/true)) {
+    std::printf("%s and %s differ at %s\n", path_a, path_b,
+                d->empty() ? "/" : d->c_str());
+    return 1;
+  }
+  std::printf("%s and %s are equal (machine-dependent root fields "
+              "ignored)\n", path_a, path_b);
+  return 0;
+}
+
 int usage() {
   std::fprintf(stderr, "usage: lmas_report [quantiles|series|tenants|racks|"
-                       "placer|all] BENCH_file.json\n");
+                       "placer|all] BENCH_file.json\n"
+                       "       lmas_report diff A.json B.json\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 4 && std::strcmp(argv[1], "diff") == 0) {
+    return diff(argv[2], argv[3]);
+  }
   std::string mode = "all";
   const char* path = nullptr;
   if (argc == 2) {
@@ -282,18 +369,8 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    std::fprintf(stderr, "lmas_report: cannot open %s\n", path);
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  const auto doc = obs::Json::parse(ss.str());
-  if (!doc.has_value()) {
-    std::fprintf(stderr, "lmas_report: %s is not valid JSON\n", path);
-    return 1;
-  }
+  const auto doc = load(path);
+  if (!doc.has_value()) return 1;
 
   if (const obs::Json* name = doc->find("bench"); name != nullptr) {
     std::printf("# %s (%s)\n", name->as_string().c_str(), path);
