@@ -19,6 +19,8 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -104,6 +106,27 @@ inline void stamp_sweep(obs::BenchReport& report, const SweepStats& stats,
   if (total_sim_events > 0 && stats.cell_seconds_total > 0) {
     report.set_events_per_sec(total_sim_events / stats.cell_seconds_total);
   }
+}
+
+/// The Chrome-trace path for `stem` ("trace_<stem>.json") when the
+/// environment sets LMAS_TRACE=1; "" (tracing off) otherwise.
+inline std::string trace_path(const std::string& stem) {
+  const char* v = std::getenv("LMAS_TRACE");
+  if (v == nullptr || v[0] != '1') return "";
+  return "trace_" + stem + ".json";
+}
+
+/// The sweep benches' shared epilogue: stamp the verdict at the artifact
+/// root, write it, and name the file (or say it could not be written).
+/// Returns the process exit code: 0 iff `all_ok` and the write succeeded.
+inline int finish(obs::BenchReport& report, bool all_ok) {
+  report.root()["ok"] = all_ok;
+  if (!report.write()) {
+    std::printf("# FAILED to write %s\n", report.path().c_str());
+    return 1;
+  }
+  std::printf("# bench artifact: %s\n", report.path().c_str());
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace lmas::benchio

@@ -16,8 +16,8 @@
 /// series, per-host record shares, metrics snapshot). Set LMAS_TRACE=1
 /// to also export Chrome trace files for both runs.
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,11 +31,6 @@ namespace obs = lmas::obs;
 namespace benchio = lmas::benchio;
 
 namespace {
-
-bool trace_requested() {
-  const char* v = std::getenv("LMAS_TRACE");
-  return v != nullptr && v[0] == '1';
-}
 
 struct Cell {
   core::RouterKind router = core::RouterKind::Static;
@@ -56,9 +51,7 @@ core::DsmSortReport run_cell(const Cell& cell) {
   cfg.key_dist = core::KeyDist::HalfUniformHalfExp;
   cfg.seed = 42;
   cfg.sort_router = cell.router;
-  if (trace_requested()) {
-    cfg.trace_file = std::string("trace_fig10_") + cell.key + ".json";
-  }
+  cfg.trace_file = benchio::trace_path(std::string("fig10_") + cell.key);
   return core::run_dsm_sort(mp, cfg);
 }
 
@@ -141,12 +134,5 @@ int main() {
   std::printf("# sweep: %zu cells on %u job(s), wall %.2fs\n", stats.cells,
               stats.jobs, stats.wall_clock_s);
   std::printf("# validation: %s\n", all_ok ? "all runs ok" : "FAILURES");
-  report.root()["ok"] = all_ok;
-  if (report.write()) {
-    std::printf("# bench artifact: %s\n", report.path().c_str());
-  } else {
-    std::printf("# FAILED to write %s\n", report.path().c_str());
-    all_ok = false;
-  }
-  return all_ok ? 0 : 1;
+  return benchio::finish(report, all_ok);
 }

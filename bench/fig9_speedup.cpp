@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -37,11 +36,6 @@ namespace benchio = lmas::benchio;
 
 namespace {
 
-bool trace_requested() {
-  const char* v = std::getenv("LMAS_TRACE");
-  return v != nullptr && v[0] == '1';
-}
-
 enum class Kind { kBaseline, kAlpha, kAdaptive };
 
 /// One (machine size, configuration) grid point. Self-contained: run()
@@ -51,7 +45,6 @@ struct Cell {
   Kind kind = Kind::kBaseline;
   unsigned alpha = 0;  ///< kAlpha: the series value; kAdaptive: alpha*
   bool detailed = false;
-  bool trace = false;
 };
 
 constexpr std::size_t kRecords = 1 << 22;
@@ -68,11 +61,11 @@ core::DsmSortReport run_cell(const Cell& cell) {
   cfg.seed = 42;
   cfg.distribute_on_asus = cell.kind != Kind::kBaseline;
   if (cell.kind != Kind::kBaseline) cfg.alpha = cell.alpha;
-  if (cell.trace) cfg.trace_file = "trace_fig9_adaptive.json";
   // The detailed (largest adaptive) cell additionally carries latency
-  // quantiles and a host/ASU load time series into the artifact.
-  // Digest-neutral: its pinned digest is unaffected.
+  // quantiles and a host/ASU load time series into the artifact, and is
+  // the one traced. Digest-neutral: its pinned digest is unaffected.
   if (cell.detailed) {
+    cfg.trace_file = benchio::trace_path("fig9_adaptive");
     cfg.telemetry.histograms = true;
     cfg.telemetry.sampler = true;
   }
@@ -118,12 +111,10 @@ int main() {
     for (const auto a : kAlphas) {
       sweep.cells.push_back({.asus = d, .kind = Kind::kAlpha, .alpha = a});
     }
-    const bool detailed = d == kAsus.back();
     sweep.cells.push_back({.asus = d,
                            .kind = Kind::kAdaptive,
                            .alpha = star,
-                           .detailed = detailed,
-                           .trace = detailed && trace_requested()});
+                           .detailed = d == kAsus.back()});
   }
 
   benchio::SweepStats stats;
@@ -200,12 +191,5 @@ int main() {
               stats.parallel_speedup(),
               total_sim_events / stats.cell_seconds_total);
   std::printf("# validation: %s\n", all_ok ? "all runs ok" : "FAILURES");
-  report.root()["ok"] = all_ok;
-  if (report.write()) {
-    std::printf("# bench artifact: %s\n", report.path().c_str());
-  } else {
-    std::printf("# FAILED to write %s\n", report.path().c_str());
-    all_ok = false;
-  }
-  return all_ok ? 0 : 1;
+  return benchio::finish(report, all_ok);
 }

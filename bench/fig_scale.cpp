@@ -527,12 +527,5 @@ int main() {
   const bool shape_ok = shape_holds(results);
   std::printf("# shape: %s\n", shape_ok ? "accepted at every D" : "FAILURES");
   all_ok &= shape_ok;
-  report.root()["ok"] = all_ok;
-  if (report.write()) {
-    std::printf("# bench artifact: %s\n", report.path().c_str());
-  } else {
-    std::printf("# FAILED to write %s\n", report.path().c_str());
-    all_ok = false;
-  }
-  return all_ok ? 0 : 1;
+  return benchio::finish(report, all_ok);
 }

@@ -25,7 +25,6 @@
 /// a Chrome trace per cell.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,11 +41,6 @@ namespace tenant = lmas::tenant;
 namespace benchio = lmas::benchio;
 
 namespace {
-
-bool trace_requested() {
-  const char* v = std::getenv("LMAS_TRACE");
-  return v != nullptr && v[0] == '1';
-}
 
 constexpr std::size_t kTotalJobs = 24;
 
@@ -156,9 +150,8 @@ int main() {
     const double span = double(kTotalJobs) / cfg.offered_rate;
     cfg.faults.slowdown(/*on_asu=*/false, 0, 0.25 * span, 0.40 * span, 3.0);
     cfg.faults.normalize();
-    if (trace_requested()) {
-      cfg.trace_file = std::string("trace_fig_tenancy_") + cell.key + ".json";
-    }
+    cfg.trace_file =
+        benchio::trace_path(std::string("fig_tenancy_") + cell.key);
     return tenant::run_tenancy(machine(), cfg);
   };
 
@@ -252,12 +245,5 @@ int main() {
   std::printf("# sweep: %zu cells on %u job(s), wall %.2fs\n", stats.cells,
               stats.jobs, stats.wall_clock_s);
   std::printf("# validation: %s\n", all_ok ? "all runs ok" : "FAILURES");
-  report.root()["ok"] = all_ok;
-  if (report.write()) {
-    std::printf("# bench artifact: %s\n", report.path().c_str());
-  } else {
-    std::printf("# FAILED to write %s\n", report.path().c_str());
-    all_ok = false;
-  }
-  return all_ok ? 0 : 1;
+  return benchio::finish(report, all_ok);
 }

@@ -151,6 +151,25 @@ class DsmSortSim {
           "DsmSortJob: run_merge_pass is not supported in embedded mode "
           "(pass 2 re-runs the engine, which a shared engine forbids)");
     }
+    // The shared engine's owner runs these for the whole cluster; on a
+    // job they would be silently dropped, so the run would be neither
+    // faulted, traced nor sampled as configured.
+    const auto owned_elsewhere = [](const char* field, const char* owner) {
+      throw std::invalid_argument(std::string("DsmSortJob: ") + field +
+                                  " is not supported in embedded mode; set "
+                                  "it on " + owner);
+    };
+    if (!cfg_.faults.empty()) {
+      owned_elsewhere("faults", "TenancyConfig.faults (ClusterRun::start)");
+    }
+    if (!cfg_.trace_file.empty()) {
+      owned_elsewhere("trace_file",
+                      "TenancyConfig.trace_file (the ClusterRun)");
+    }
+    if (cfg_.telemetry.sampler) {
+      owned_elsewhere("telemetry.sampler",
+                      "the engine's owner (its ClusterRun's sim::Engine)");
+    }
     build_pass1();
   }
 

@@ -234,11 +234,14 @@ class DsmSortSim;
 /// the root coroutine the scheduler spawns, and report() is valid once
 /// finished(). Jobs construct no monitor/manager, sampler, or fault
 /// injector — the owner's control plane runs those for the whole
-/// cluster (one shared LoadManager, see attach_manager) — and pass 2 is
-/// unsupported (std::invalid_argument at construction). Give each
-/// concurrent job a unique cfg.label, which names its tasks and trace
-/// tracks; jobs with one cfg.metrics_scope aggregate into one set of
-/// instruments.
+/// cluster (one shared LoadManager, see attach_manager) — so a config
+/// carrying `faults`, `trace_file` or `telemetry.sampler` is rejected
+/// with std::invalid_argument at construction, as is `run_merge_pass`
+/// (pass 2 is unsupported). `load_manager` stays allowed: Manage makes
+/// the job build the switchable router the shared manager drives. Give
+/// each concurrent job a unique cfg.label, which names its tasks and
+/// trace tracks; jobs with one cfg.metrics_scope aggregate into one set
+/// of instruments.
 class DsmSortJob {
  public:
   DsmSortJob(sim::Engine& eng, asu::Cluster& cluster,

@@ -59,8 +59,8 @@ struct LoadSample {
   /// wall-seconds per node. Charges are already expressed in wall-seconds
   /// on each node's own CPU (a slow or degraded node accrues more seconds
   /// for the same records), so load comparisons need no rate division.
-  /// Offered entries are optional (hand-built samples in tests may carry
-  /// backlogs only).
+  /// Each offered vector is as long as its backlog vector (the monitor
+  /// fills both per node).
   [[nodiscard]] std::vector<double> host_load() const {
     return combine(host_backlog, host_offered);
   }
@@ -89,7 +89,7 @@ struct LoadSample {
   static std::vector<double> combine(const std::vector<double>& backlog,
                                      const std::vector<double>& offered) {
     std::vector<double> v = backlog;
-    for (std::size_t i = 0; i < v.size() && i < offered.size(); ++i) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
       v[i] += offered[i];
     }
     return v;
@@ -636,7 +636,7 @@ class LoadManager {
     const double peak_util =
         load.empty()
             ? 0
-            : *std::max_element(load.begin(), load.end()) / window(s);
+            : *std::max_element(load.begin(), load.end()) / s.period;
     if (!cl.router->dynamic_active()) {
       const bool hot =
           imb >= kPromoteImbalance && peak_util >= kMinActionableLoad;
@@ -723,7 +723,7 @@ class LoadManager {
           if (from_it == cl.candidates.end()) continue;
           const std::size_t fj = std::size_t(from_it - cl.candidates.begin());
           const double load_here = load[fj];
-          if (load_here / window(s) < kMinActionableLoad) continue;
+          if (load_here / s.period < kMinActionableLoad) continue;
           const std::size_t bytes = cl.declarations[i].declared_bytes();
           for (std::size_t j = 0; j < cl.candidates.size(); ++j) {
             asu::Node* to = cl.candidates[j];
@@ -735,7 +735,7 @@ class LoadManager {
               best.from_j = fj;
               best.to_j = j;
               best.plan = price(cl.declarations[i], to, bytes,
-                                load_here - load[j], window(s));
+                                load_here - load[j], s.period);
             }
           }
         }
@@ -808,14 +808,6 @@ class LoadManager {
       p.est_stall = stop_stall;
     }
     return p;
-  }
-
-  /// Normalizing window for the actionability floor: the sample's own
-  /// period when it carries one, the configured period otherwise
-  /// (hand-built samples in unit tests).
-  [[nodiscard]] double window(const LoadSample& s) const {
-    const double w = s.period > 0 ? s.period : cfg_.period;
-    return w > 0 ? w : 1.0;
   }
 
   void journal(double t, std::string what) {

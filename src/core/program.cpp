@@ -176,7 +176,6 @@ ProgramStats Program::run() {
             .router = make_router(
                 {.kind = st.spec.router,
                  .rng = sim::Rng(0x9ab).stream(sim::stream_id("routing", i)),
-                 .total_subsets = st.spec.router_subsets,
                  .instrument = im.eng,
                  .label = st.spec.name}),
             .producers = producers,

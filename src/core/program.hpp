@@ -25,9 +25,8 @@ struct ProgramStageSpec {
   std::string name;
   FunctorFactory make;
   std::vector<asu::Node*> placement;
+  /// Static routing partitions by `subset % instances`.
   RouterKind router = RouterKind::RoundRobin;
-  /// For Static routing: total subset count (contiguous block ownership).
-  std::uint32_t router_subsets = 0;
 };
 
 struct StageStats {

@@ -159,6 +159,39 @@ TEST(DsmSortValidation, ZeroRecordBytesThrowsAtEntry) {
   EXPECT_THROW(core::run_dsm_sort(mp, small_config()), std::invalid_argument);
 }
 
+// An embedded job runs on its owner's engine: the fault injector, the
+// tracer and the sampler are the owner's, so a job that carries one must
+// be refused by name rather than run unfaulted, untraced or unsampled.
+// (`load_manager` stays allowed: HierarchicalFaultedManagedJobsArePinned
+// builds its jobs with it.)
+TEST(DsmSortJob, RejectsTheOwnersFieldsByName) {
+  auto faulted = small_config();
+  faulted.faults.slowdown(/*on_asu=*/false, 0, 0.0, 0.1, 2.0);
+  auto traced = small_config();
+  traced.trace_file = "job_trace.json";
+  auto sampled = small_config();
+  sampled.telemetry.sampler = true;
+  const struct {
+    core::DsmSortConfig cfg;
+    const char* field;
+    const char* owner;
+  } cases[] = {{faulted, "faults", "TenancyConfig"},
+               {traced, "trace_file", "TenancyConfig"},
+               {sampled, "telemetry.sampler", "ClusterRun"}};
+  for (const auto& c : cases) {
+    lmas::sim::Engine eng;
+    asu::Cluster cluster(eng, machine(1, 4));
+    std::string what;
+    try {
+      core::DsmSortJob job(eng, cluster, c.cfg);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    EXPECT_NE(what.find(c.owner), std::string::npos) << what;
+  }
+}
+
 TEST(DsmSort, DeterministicAcrossRuns) {
   auto cfg = small_config();
   auto r1 = core::run_dsm_sort(machine(1, 4), cfg);

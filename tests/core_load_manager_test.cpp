@@ -96,9 +96,13 @@ TEST(SwitchableRouter, InstrumentedWrapAcrossShrinkingAndGrowingTargets) {
 
 // ---------- LoadManager decision loop ----------
 
+/// A hand-built sample shaped like the monitor's: a 0.05 s window and an
+/// offered vector per backlog (zero here: the backlog is the load).
 core::LoadSample sample_at(double t, std::vector<double> host_backlog) {
   core::LoadSample s;
   s.time = t;
+  s.period = 0.05;
+  s.host_offered.assign(host_backlog.size(), 0.0);
   s.host_backlog = std::move(host_backlog);
   return s;
 }
@@ -524,6 +528,8 @@ TEST(LoadSample, RackLoadAggregatesTheBlockPartition) {
   core::LoadSample s;
   s.host_backlog = {1.0, 3.0};
   s.asu_backlog = {1.0, 2.0, 3.0, 4.0};
+  s.host_offered = {0.0, 0.0};
+  s.asu_offered = {0.0, 0.0, 0.0, 0.0};
   // Block partition: host 0 + ASUs {0, 1} in rack 0, the rest in rack 1.
   const auto racks = s.rack_load(topo);
   ASSERT_EQ(racks.size(), 2u);
