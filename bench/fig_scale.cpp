@@ -74,7 +74,6 @@ constexpr double kRho = 0.8;            // offered load per unit capacity
 constexpr double kServiceMean = 0.010;  // seconds, exp(μ) with μ = 100/s
 constexpr double kMu = 1.0 / kServiceMean;
 constexpr double kHorizon = 3.0;        // simulated seconds per cell
-constexpr int kSlices = 12;             // run() calls per cell, reaping between
 constexpr double kWarmup = 1.2;         // probes start here
 constexpr double kProbePeriod = 0.020;  // queue-length sampling interval
 constexpr std::size_t kTailMax = 8;     // tail depth i = 1..kTailMax
@@ -283,12 +282,9 @@ CellResult run_cell(const Cell& cell) {
   }
   for (unsigned a = 0; a < D; ++a) m.eng.spawn(asu_probe(m, a));
 
-  // Run to the horizon in slices, reaping finished task frames between
-  // them so the root list stays as short as the in-flight task count.
-  for (int k = 1; k <= kSlices; ++k) {
-    m.eng.run(kHorizon * double(k) / double(kSlices));
-    m.eng.reap_completed();
-  }
+  // The engine frees finished task frames as it spawns new ones, so its
+  // root list stays as short as the in-flight task count.
+  m.eng.run(kHorizon);
   res.events = m.eng.events_processed();
   res.digest = m.eng.digest();
   const std::vector<std::int64_t>& counts = m.counts;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-shot pre-commit gate: build + tier-1 tests, then the same tier-1
+# One-shot pre-commit gate: build (warnings are errors, LMAS_WERROR=ON)
+# + tier-1 tests, then the same tier-1
 # suite under ASan/UBSan (separate build tree; sanitizer runs are slower,
 # so the long-running property label is left to `ctest -L property`) —
 # plus a reduced-case pass of the fault property suites under the
@@ -19,8 +20,8 @@ SAN_BUILD="${2:-build-san}"
 TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== [1/7] configure + build (${BUILD})"
-cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+echo "== [1/7] configure + build, warnings as errors (${BUILD})"
+cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLMAS_WERROR=ON
 cmake --build "${BUILD}" -j "${JOBS}"
 
 echo "== [2/7] tier-1 tests"

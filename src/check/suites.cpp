@@ -1438,13 +1438,101 @@ std::optional<std::string> prop_config_fuzz(sim::Rng& rng, unsigned size) {
 
 // ---- host-kernels ----------------------------------------------------
 
+// The streaming stored-run check against the whole-run check it
+// replaced. `stored` is one subset's records in key order, as a store
+// holds them. It is cut into chunks (some possibly empty), optionally
+// corrupted, and fed to core::RunCheck with the chunks arriving in
+// shuffled seq order and some chunks split into two same-seq pieces.
+// The verdict must equal the whole-run reference over the chunks in seq
+// order: sorted by key, core::run_in_subset, and the key sum.
+std::optional<std::string> check_run_check(
+    sim::Rng& rng, const std::vector<std::uint32_t>& splitters,
+    std::uint32_t subset, std::vector<em::KeyRecord> stored) {
+  const core::KeyClassifier classify{core::SplitterClassifier(splitters)};
+  const std::size_t m = stored.size();
+  // Chunk k is stored[cut[k], cut[k + 1]); equal cuts make empty chunks.
+  const std::size_t pieces = 1 + rng.below(8);
+  std::vector<std::size_t> cut = {0, m};
+  for (std::size_t i = 1; i < pieces; ++i) cut.push_back(rng.below(m + 1));
+  // Corruption: none, two records swapped inside a chunk, the records
+  // on either side of a chunk boundary swapped, one key nudged into the
+  // neighbouring subset, or an extra empty chunk.
+  const unsigned corrupt = unsigned(rng.below(5));
+  if (corrupt == 4) cut.push_back(cut[rng.below(cut.size())]);
+  std::sort(cut.begin(), cut.end());
+  const std::size_t chunks = cut.size() - 1;
+  if (corrupt == 1) {
+    const std::size_t k = rng.below(chunks);
+    const std::size_t len = cut[k + 1] - cut[k];
+    if (len >= 2) {
+      const std::size_t i = cut[k] + rng.below(len);
+      std::swap(stored[i], stored[cut[k] + rng.below(len)]);
+    }
+  } else if (corrupt == 2) {
+    const std::size_t b = cut[1 + rng.below(chunks)];  // a chunk boundary
+    if (b > 0 && b < m) std::swap(stored[b - 1], stored[b]);
+  } else if (corrupt == 3 && m > 0) {
+    // Subset s holds the keys in (splitters[s - 1], splitters[s]]. The
+    // key just above it replaces the last record or the key just below
+    // it the first, which leaves the run sorted, or either replaces a
+    // random record.
+    const bool up = subset < splitters.size() && splitters[subset] != ~0u &&
+                    (subset == 0 || rng.below(2) == 0);
+    if (up || subset > 0) {
+      const std::uint32_t key =
+          up ? splitters[subset] + 1 : splitters[subset - 1];
+      const std::size_t at =
+          rng.below(2) == 0 ? rng.below(m) : (up ? m - 1 : 0);
+      stored[at].key = key;
+    }
+  }
+
+  // Arrivals: a random unfinished chunk sends its next piece; a chunk is
+  // sent whole or as two pieces of the same seq, in order.
+  std::vector<std::vector<std::span<const em::KeyRecord>>> parts(chunks);
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const std::span<const em::KeyRecord> c(stored.data() + cut[k],
+                                           cut[k + 1] - cut[k]);
+    if (c.size() >= 2 && rng.below(3) == 0) {
+      const std::size_t at = 1 + rng.below(c.size() - 1);
+      parts[k] = {c.subspan(at), c.first(at)};  // sent from the back
+    } else {
+      parts[k] = {c};
+    }
+  }
+  core::RunCheck check;
+  for (std::size_t left = chunks; left > 0;) {
+    std::size_t k = rng.below(chunks);
+    while (parts[k].empty()) k = (k + 1) % chunks;
+    check.add(std::uint32_t(k), parts[k].back(), &classify, subset);
+    parts[k].pop_back();
+    if (parts[k].empty()) --left;
+  }
+
+  const bool sorted = std::is_sorted(stored.begin(), stored.end());
+  std::uint64_t key_sum = 0;
+  for (const auto& r : stored) key_sum += r.key;
+  const bool in_subset = core::run_in_subset(classify, stored, subset, sorted);
+  const core::RunCheck::Verdict v = check.verdict();
+  if (v.records != m || v.key_sum != key_sum || v.sorted != sorted ||
+      v.in_subset != in_subset) {
+    return fmt("RunCheck differs from the whole-run check (%zu records in "
+               "%zu chunks, corruption %u: records %zu, sorted %d/%d, "
+               "in subset %d/%d) ",
+               m, chunks, corrupt, v.records, int(v.sorted), int(sorted),
+               int(v.in_subset), int(in_subset));
+  }
+  return std::nullopt;
+}
+
 // DSM-Sort's host-side record kernels against the generic code they
 // replaced, on random KeyRecord runs: the radix run formation equals
 // std::stable_sort by key record for record (ids included), RunMerger's
 // packed-word tournament, filled in random chunk sizes, emits exactly the
 // std::function-source LoserTree's sequence, and the variant bucket
 // classifier (per key and per batch) equals the type-erased range
-// classifier / std::lower_bound splitter search it replaced.
+// classifier / std::lower_bound splitter search it replaced, and the
+// streaming stored-run check equals the whole-run check.
 std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
   // Sizes 0, 1, 2, small, either side of sort_by_key's radix cut-over,
   // beta, 2*beta+odd (beta in [64, 4096]), and 128: the tenancy
@@ -1603,6 +1691,14 @@ std::optional<std::string> prop_host_kernels(sim::Rng& rng, unsigned size) {
                  "(%zu records, sorted=%d, want %d) ",
                  members.size(), int(sorted), int(want_in)) +
              what;
+    }
+    std::vector<em::KeyRecord> stored;
+    for (const auto& r : run) {
+      if (new_sampled(r) == subset) stored.push_back(r);
+    }
+    std::stable_sort(stored.begin(), stored.end());
+    if (auto err = check_run_check(rng, splitters, subset, stored)) {
+      return *err + what;
     }
   }
   return std::nullopt;

@@ -112,7 +112,14 @@ namespace lmas::check {
 ///                  (per key and per batch) equals the type-erased range
 ///                  classifier and the std::lower_bound splitter search;
 ///                  core::run_in_subset equals the per-record subset
-///                  check on sorted, unsorted and corrupted runs. Inputs
+///                  check on sorted, unsorted and corrupted runs;
+///                  core::RunCheck, fed a run's random chunks (some
+///                  empty, some split into same-seq pieces) in shuffled
+///                  seq order, gives the whole-run check's count, key
+///                  sum, order and subset verdicts, also with two
+///                  records swapped inside a chunk or across a chunk
+///                  boundary and with a key nudged into the neighbouring
+///                  subset. Inputs
 ///                  cover every KeyDist, run sizes 0..2β+odd, all-equal
 ///                  keys, keys with constant high bytes and keys at the
 ///                  top of the key space.

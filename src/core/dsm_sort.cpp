@@ -67,12 +67,13 @@ void DsmSortConfig::validate() const {
   load_manager.validate();
 }
 
-/// A stored (sorted) run reassembled on an ASU, tagged with its subset.
-/// External linkage because DsmSortSim (whose definition is TU-local but
-/// whose name is exported for DsmSortJob's pimpl) holds vectors of it.
+/// A stored (sorted) run kept on an ASU for pass 2: its chunks in seq
+/// order, which is key order, tagged with its subset. External linkage
+/// because DsmSortSim (whose definition is TU-local but whose name is
+/// exported for DsmSortJob's pimpl) holds vectors of it.
 struct StoredRun {
   std::uint32_t subset = 0;
-  std::vector<em::KeyRecord> records;
+  std::vector<std::vector<em::KeyRecord>> chunks;
 };
 
 /// Whole-program state for one emulated DSM-Sort execution on a
@@ -770,18 +771,25 @@ class DsmSortSim {
     records_done->inc(block.size());
     // Derived flow: the sorted-run packet's lane links back to the
     // distribute packet whose arrival completed the run.
-    co_await ship_run(*to_store_, node, subset, run_id, block, parent_flow);
+    const std::span<const em::KeyRecord> whole(block);
+    co_await ship_run(*to_store_, node, subset, run_id, {&whole, 1},
+                      parent_flow);
   }
 
-  /// Ship one sorted run through `out` as packets of packet_records_.
+  /// Ship one sorted run, given as its pieces in key order, through `out`
+  /// as packets of packet_records_; a packet may span pieces.
   sim::Task<> ship_run(StageOutput& out, asu_ns::Node& node,
                        std::uint32_t subset, std::uint32_t run_id,
-                       std::span<const em::KeyRecord> records,
+                       std::span<const std::span<const em::KeyRecord>> pieces,
                        std::uint64_t parent_flow = 0) {
+    std::size_t left = 0;
+    for (const auto& piece : pieces) left += piece.size();
+    std::size_t piece = 0;
     std::size_t off = 0;
     std::uint32_t seq = 0;
-    while (off < records.size()) {
-      const std::size_t n = std::min(packet_records_, records.size() - off);
+    while (left > 0) {
+      const std::size_t n = std::min(packet_records_, left);
+      left -= n;
       Packet pkt;
       pkt.subset = subset;
       pkt.run_id = run_id;
@@ -789,9 +797,18 @@ class DsmSortSim {
       pkt.sorted = true;
       pkt.parent_id = parent_flow;
       pkt.records = out.pool().acquire(n);
-      pkt.records.assign(records.begin() + std::ptrdiff_t(off),
-                         records.begin() + std::ptrdiff_t(off + n));
-      off += n;
+      for (std::size_t need = n; need > 0;) {
+        const std::span<const em::KeyRecord> src = pieces[piece];
+        const std::size_t take = std::min(need, src.size() - off);
+        pkt.records.insert(pkt.records.end(), src.begin() + std::ptrdiff_t(off),
+                           src.begin() + std::ptrdiff_t(off + take));
+        need -= take;
+        off += take;
+        if (off == src.size()) {
+          ++piece;
+          off = 0;
+        }
+      }
       co_await out.emit(node, std::move(pkt));
     }
   }
@@ -809,12 +826,18 @@ class DsmSortSim {
     // of a run overtake an earlier one, and chunk seqs within a run are
     // assigned in key order, so seq-ordered concatenation reconstructs a
     // sorted run under any interleaving. Arrival order == seq order in
-    // fault-free runs, so this is behavior-neutral there.
+    // fault-free runs, so this is behavior-neutral there. Each chunk is
+    // checked as it lands; only pass 2 needs the records, so without it
+    // the chunk goes straight back to the pool and the store holds
+    // nothing but the checks.
     struct OpenRun {
       std::uint32_t subset = 0;
-      std::map<std::uint32_t, std::vector<em::KeyRecord>> chunks;
+      RunCheck check;
+      std::map<std::uint32_t, std::vector<em::KeyRecord>> chunks;  // pass 2
     };
     std::map<std::uint32_t, OpenRun> open;  // run_id -> accumulating run
+    const KeyClassifier* classify =
+        cfg_.distribute_on_asus ? &classifier_ : nullptr;
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
@@ -826,6 +849,11 @@ class DsmSortSim {
       if (store_hist_ != nullptr) store_hist_->observe(eng_.now() - t_take);
       OpenRun& run = open[p->run_id];
       run.subset = p->subset;
+      run.check.add(p->seq, p->records, classify, p->subset);
+      if (!cfg_.run_merge_pass) {
+        to_store_->pool().release(std::move(p->records));
+        continue;
+      }
       auto& chunk = run.chunks[p->seq];
       if (chunk.empty()) {
         chunk = std::move(p->records);
@@ -834,15 +862,16 @@ class DsmSortSim {
         to_store_->pool().release(std::move(p->records));
       }
     }
-    auto& dest = stored_[a];
-    dest.reserve(open.size());
+    runs_stored_ += open.size();
     for (auto& [run_id, run] : open) {
-      StoredRun sr;
-      sr.subset = run.subset;
-      for (auto& [seq, recs] : run.chunks) {
-        sr.records.insert(sr.records.end(), recs.begin(), recs.end());
+      stored_check_ += run.check.verdict();
+      if (cfg_.run_merge_pass) {
+        StoredRun& sr = stored_[a].emplace_back();
+        sr.subset = run.subset;
+        for (auto& [seq, recs] : run.chunks) {
+          sr.chunks.push_back(std::move(recs));
+        }
       }
-      dest.push_back(std::move(sr));
     }
     store_end_[a] = eng_.now();
     instance_done();
@@ -855,29 +884,12 @@ class DsmSortSim {
       rep.records_in += count_in_[a];
       checksum_in += checksum_in_[a];
     }
-    rep.runs_sorted_ok = true;
-    rep.subsets_ok = true;
-    std::uint64_t checksum_out = 0;
-    for (const auto& asu_runs : stored_) {
-      rep.runs_stored += asu_runs.size();
-      for (const auto& run : asu_runs) {
-        rep.records_stored += run.records.size();
-        // One read of the stored records: order and key checksum.
-        bool sorted = true;
-        std::uint32_t prev = 0;
-        for (const auto& r : run.records) {
-          sorted &= r.key >= prev;
-          prev = r.key;
-          checksum_out += r.key;
-        }
-        if (!sorted) rep.runs_sorted_ok = false;
-        if (cfg_.distribute_on_asus &&
-            !run_in_subset(classifier_, run.records, run.subset, sorted)) {
-          rep.subsets_ok = false;
-        }
-      }
-    }
-    rep.checksum_ok = (checksum_in == checksum_out) &&
+    // The stores checked every run as it landed.
+    rep.runs_stored = runs_stored_;
+    rep.records_stored = stored_check_.records;
+    rep.runs_sorted_ok = stored_check_.sorted;
+    rep.subsets_ok = stored_check_.in_subset;
+    rep.checksum_ok = (checksum_in == stored_check_.key_sum) &&
                       (rep.records_in == rep.records_stored);
     rep.records_sorted_per_host = records_sorted_per_host_;
   }
@@ -942,38 +954,51 @@ class DsmSortSim {
     asu_ns::Node& node = cluster_.asu(a);
     std::uint32_t next_run_id = a * 0x10000u + 1;
     for (std::uint32_t s = 0; s < alpha_; ++s) {
-      // Collect this ASU's local runs of subset s.
-      Runs runs;
+      // Collect this ASU's local runs of subset s as their non-empty
+      // chunks, run after run: chunks[first[r], first[r + 1]) is run r.
+      // A run's chunks are consecutive merge sources in key order, and
+      // ties go to the lower source, so merging chunks merges the runs.
+      Runs chunks;
+      std::vector<std::size_t> first;
+      std::size_t bytes = 0;
       for (const auto& run : stored_[a]) {
-        if (run.subset == s && !run.records.empty()) {
-          runs.emplace_back(run.records);
+        if (run.subset != s) continue;
+        const std::size_t begin = chunks.size();
+        for (const auto& c : run.chunks) {
+          if (c.empty()) continue;
+          chunks.emplace_back(c);
+          bytes += c.size() * mp_.record_bytes;
         }
+        if (chunks.size() > begin) first.push_back(begin);
       }
-      if (!runs.empty()) {
+      const std::size_t runs = first.size();
+      first.push_back(chunks.size());
+      const auto run_span = [&](std::size_t r, std::size_t cnt) {
+        return std::span(chunks).subspan(first[r], first[r + cnt] - first[r]);
+      };
+      if (runs > 0) {
         // Sequential disk read of the runs we are about to merge.
-        std::size_t bytes = 0;
-        for (const auto r : runs) bytes += r.size() * mp_.record_bytes;
         co_await node.disk().read(bytes);
 
-        if (cfg_.gamma1 == 1 || runs.size() == 1) {
+        if (cfg_.gamma1 == 1 || runs == 1) {
           // No ASU-side merge: ship runs as-is (hosts take full fan-in).
-          for (const auto r : runs) {
-            co_await ship_run(*to_host_merge_, node, s, next_run_id++, r);
+          for (std::size_t r = 0; r < runs; ++r) {
+            co_await ship_run(*to_host_merge_, node, s, next_run_id++,
+                              run_span(r, 1));
           }
         } else {
           const std::size_t g =
-              cfg_.gamma1 == 0 ? runs.size()
-                               : std::min<std::size_t>(cfg_.gamma1,
-                                                       runs.size());
-          for (std::size_t base = 0; base < runs.size(); base += g) {
-            const std::size_t cnt = std::min(g, runs.size() - base);
-            const auto merged =
-                merge_all(std::span(runs).subspan(base, cnt));
+              cfg_.gamma1 == 0 ? runs
+                               : std::min<std::size_t>(cfg_.gamma1, runs);
+          for (std::size_t base = 0; base < runs; base += g) {
+            const std::size_t cnt = std::min(g, runs - base);
+            const auto merged = merge_all(run_span(base, cnt));
             co_await node.compute(
                 double(merged.size()) *
                 mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
+            const std::span<const em::KeyRecord> whole(merged);
             co_await ship_run(*to_host_merge_, node, s, next_run_id++,
-                              merged);
+                              {&whole, 1});
           }
         }
       }
@@ -1190,7 +1215,10 @@ class DsmSortSim {
 
   std::vector<std::uint64_t> checksum_in_;
   std::vector<std::size_t> count_in_;
-  std::vector<std::vector<StoredRun>> stored_;  // per ASU
+  // Every store instance's runs and their checks, summed.
+  std::size_t runs_stored_ = 0;
+  RunCheck::Verdict stored_check_;
+  std::vector<std::vector<StoredRun>> stored_;  // per ASU, pass 2 only
   std::vector<std::size_t> records_sorted_per_host_;
   /// Per sort instance `functor.sort<h>.records`, resolved on first use.
   std::vector<obs::Counter*> sort_records_counter_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <utility>
 #include <variant>
@@ -124,5 +125,77 @@ class KeyClassifier {
   }
   return true;
 }
+
+/// The stored-run check in streaming form: a run's chunks are checked as
+/// they land, in any seq order, and only a few words per chunk are kept,
+/// never the records. verdict() equals the whole-run check over the
+/// chunks concatenated in seq order (sorted by key, run_in_subset, key
+/// sum): the run is sorted iff every chunk is and each non-empty chunk
+/// starts at or above the last key of the non-empty chunk before it, and
+/// it lies in its subset iff every chunk does.
+class RunCheck {
+ public:
+  struct Verdict {
+    std::size_t records = 0;
+    std::uint64_t key_sum = 0;
+    bool sorted = true;
+    bool in_subset = true;
+
+    /// Fold in the verdict of another part: counts add, flags AND.
+    Verdict& operator+=(const Verdict& o) noexcept {
+      records += o.records;
+      key_sum += o.key_sum;
+      sorted = sorted && o.sorted;
+      in_subset = in_subset && o.in_subset;
+      return *this;
+    }
+  };
+
+  /// Check chunk `seq` of the run; a repeated seq appends to that chunk,
+  /// as storing it does. A null `classify` skips the subset test.
+  void add(std::uint32_t seq, std::span<const em::KeyRecord> records,
+           const KeyClassifier* classify, std::uint32_t subset) {
+    Chunk& c = chunks_[seq];
+    if (records.empty()) return;
+    Verdict piece{.records = records.size()};
+    std::uint32_t prev = records.front().key;
+    for (const auto& r : records) {
+      piece.sorted &= r.key >= prev;
+      prev = r.key;
+      piece.key_sum += r.key;
+    }
+    if (classify != nullptr && c.part.in_subset) {
+      piece.in_subset =
+          run_in_subset(*classify, records, subset, piece.sorted);
+    }
+    if (c.part.records == 0) {
+      c.first = records.front().key;
+    } else {
+      piece.sorted &= c.last <= records.front().key;
+    }
+    c.last = records.back().key;
+    c.part += piece;
+  }
+
+  [[nodiscard]] Verdict verdict() const {
+    Verdict v;
+    const Chunk* prev = nullptr;
+    for (const auto& [seq, c] : chunks_) {
+      v += c.part;
+      if (c.part.records == 0) continue;
+      if (prev != nullptr && c.first < prev->last) v.sorted = false;
+      prev = &c;
+    }
+    return v;
+  }
+
+ private:
+  struct Chunk {
+    Verdict part;
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+  std::map<std::uint32_t, Chunk> chunks_;  // seq -> chunk summary
+};
 
 }  // namespace lmas::core

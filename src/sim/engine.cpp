@@ -51,6 +51,11 @@ void Engine::spawn(Task<> task, std::string name) {
     tracer_.instant(engine_track_, "spawn " + name, now_);
   }
   roots_.push_back({std::move(task), std::move(name)});
+  // Sweep finished roots whenever the list has doubled since the last
+  // sweep: memory follows the live roots, not every root ever spawned,
+  // at amortized O(1) per spawn. Failed roots stay until reap_completed()
+  // acknowledges them, so run() still rethrows.
+  if (roots_.size() >= sweep_at_) erase_done_roots(/*failed_too=*/false);
   schedule_at(handle, now_);
 }
 
@@ -93,6 +98,10 @@ std::size_t Engine::run_fast(SimTime until) {
     now_ = ev.t;
     ++processed;
     fold(std::bit_cast<std::uint64_t>(ev.t) ^ std::rotl(ev.seq, 31));
+    // Every awaiter schedules exactly one resume per suspension, so a
+    // finished frame has no queued event. The spawn-time sweep relies on
+    // that: it frees finished root frames, and if the invariant broke,
+    // done() here would read a freed frame.
     if (ev.h && !ev.h.done()) {
       ev.h.resume();
     }
@@ -161,15 +170,20 @@ std::vector<std::string> Engine::unfinished_task_names() const {
   return out;
 }
 
-void Engine::reap_completed() {
-  std::erase_if(roots_, [this](const Root& r) {
-    if (!r.task.done()) return false;
+void Engine::erase_done_roots(bool failed_too) {
+  std::erase_if(roots_, [this, failed_too](const Root& r) {
+    if (!r.task.done() || (!failed_too && r.task.exception())) return false;
     // The frame is about to be freed and its address recycled by a later
     // coroutine allocation; a stale entry here would label the newcomer
     // with the dead task's name in every trace.
     named_roots_.erase(r.task.handle().address());
     return true;
   });
+  sweep_at_ = std::max(kSweepFloor, 2 * roots_.size());
+}
+
+void Engine::reap_completed() {
+  erase_done_roots(/*failed_too=*/true);
   // Reaping a failed root is how a caller acknowledges the failure after
   // run() rethrew it; recompute the latch so the engine resumes only when
   // no unprocessed root exception remains.

@@ -104,6 +104,7 @@ class Engine {
   }
 
   /// Take ownership of a root task and schedule its first resume now.
+  /// Finished roots are freed as the engine runs (see reap_completed).
   void spawn(Task<> task) { spawn(std::move(task), std::string()); }
 
   /// Named spawn: the name shows up in deadlock diagnostics
@@ -207,11 +208,15 @@ class Engine {
     return events_.size();
   }
 
-  /// Drop completed root task frames (optional; frees memory in long
-  /// runs). Also erases the frames' trace-name entries — a later spawn
-  /// reusing a freed frame address must not inherit a dead task's name —
-  /// and clears the root-failure latch when the last failed root goes,
-  /// so an engine whose failure was handled can keep running.
+  /// Drop every completed root task frame, failed ones included. The
+  /// engine already frees finished roots by itself: spawn() sweeps them
+  /// whenever the root list has doubled since the last sweep, but keeps
+  /// a root that exited with an exception, so run() goes on rethrowing
+  /// it. Calling this is how a caller acknowledges such a failure: it
+  /// clears the root-failure latch when the last failed root goes, so an
+  /// engine whose failure was handled can keep running. Either way the
+  /// frames' trace-name entries go with them — a later spawn reusing a
+  /// freed frame address must not inherit a dead task's name.
   void reap_completed();
 
   /// Trace-name entries currently held for named roots (diagnostic; the
@@ -254,13 +259,20 @@ class Engine {
     std::string name;
   };
 
+  /// Below this many roots spawn() never sweeps.
+  static constexpr std::size_t kSweepFloor = 64;
+
   std::size_t run_fast(SimTime until);
   std::size_t run_traced(SimTime until);
   void rethrow_root_failure() const;
+  /// Free finished roots (and failed ones if `failed_too`) and set the
+  /// next spawn-time sweep at twice the roots left.
+  void erase_done_roots(bool failed_too);
 
   MetricsSource* sources_ = nullptr;
   FourAryHeap<Event, EventBefore> events_;
   std::vector<Root> roots_;
+  std::size_t sweep_at_ = kSweepFloor;  // roots_.size() that triggers a sweep
   // Handle address -> name, for labeling resumes while tracing.
   std::unordered_map<const void*, std::string> named_roots_;
   SimTime now_ = 0;

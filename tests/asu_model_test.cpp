@@ -162,7 +162,7 @@ TEST(Cluster, BuildsRequestedTopology) {
   EXPECT_EQ(cluster.num_asus(), 4u);
   EXPECT_FALSE(cluster.host(1).is_asu());
   EXPECT_TRUE(cluster.asu(3).is_asu());
-  EXPECT_THROW(cluster.host(2), std::out_of_range);
+  EXPECT_THROW((void)cluster.host(2), std::out_of_range);
 }
 
 TEST(Network, TransferChargesLatencyAndBandwidth) {

@@ -86,7 +86,9 @@ TEST_P(DsmSweep, EndToEndInvariantsHold) {
   auto rep = core::run_dsm_sort(machine(pc.hosts, pc.asus), cfg);
   EXPECT_TRUE(rep.ok()) << "alpha=" << pc.alpha;
   EXPECT_EQ(rep.records_stored, cfg.total_records);
-  if (pc.merge) EXPECT_EQ(rep.records_final, cfg.total_records);
+  if (pc.merge) {
+    EXPECT_EQ(rep.records_final, cfg.total_records);
+  }
   // All sort work happened on hosts.
   const auto sorted_total =
       std::accumulate(rep.records_sorted_per_host.begin(),

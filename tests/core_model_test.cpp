@@ -186,7 +186,7 @@ TEST(Containers, ArrayRandomAccess) {
   core::ArrayContainer<int> arr(4);
   arr[2] = 42;
   EXPECT_EQ(arr.at(2), 42);
-  EXPECT_THROW(arr.at(10), std::out_of_range);
+  EXPECT_THROW((void)arr.at(10), std::out_of_range);
   arr.push_back(7);
   EXPECT_EQ(arr.size(), 5u);
 }

@@ -618,7 +618,9 @@ TEST_P(DistSortSweep, SortsAndConserves) {
     ASSERT_TRUE(r);
     EXPECT_EQ(r->key, k);
   }
-  if (n > 128) EXPECT_GE(st.recursion_depth, 1u);
+  if (n > 128) {
+    EXPECT_GE(st.recursion_depth, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DistSortSweep,

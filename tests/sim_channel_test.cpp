@@ -77,7 +77,9 @@ TEST(Channel, BoundedSendBlocksWhenFull) {
       co_await e.sleep(1.0);
       auto v = co_await c.recv();
       EXPECT_TRUE(v.has_value());
-      if (v) EXPECT_EQ(*v, i);
+      if (v) {
+        EXPECT_EQ(*v, i);
+      }
     }
   };
   eng.spawn(producer(eng, ch, send_done));

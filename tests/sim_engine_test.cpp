@@ -254,6 +254,65 @@ TEST(Engine, SlicedRunWithReapsMatchesOneRun) {
   EXPECT_EQ(whole.unfinished_tasks(), sliced.unfinished_tasks());
 }
 
+// Spawns `n` leaves, one per `period`, and after every spawn counts the
+// times the engine held more named roots than twice the live ones plus
+// the sweep floor. Leaf lifetimes vary, so the live count wanders.
+sim::Task<> bounded_spawner(sim::Engine& eng, int n, double period,
+                            int& live, int& over_bound) {
+  for (int i = 0; i < n; ++i) {
+    ++live;
+    eng.spawn(leaf(eng, period * double(50 + i % 100), live), "leaf");
+    const std::size_t live_roots = std::size_t(live) + 1;  // + this spawner
+    if (eng.traced_root_names() > 2 * live_roots + 64) ++over_bound;
+    co_await eng.sleep(period);
+  }
+}
+
+TEST(Engine, SpawnReapsFinishedRootsAsItRuns) {
+  // Without any reap_completed() call, the roots the engine holds stay
+  // within twice the live ones (plus the sweep floor of 64) however many
+  // have finished. Trace names live exactly as long as their frames, so
+  // with tracing on they count the held roots.
+  sim::Engine eng;
+  eng.tracer().enable();
+  eng.tracer().set_capacity(1024);  // the spans themselves are not needed
+  int live = 0;
+  int over_bound = 0;
+  eng.spawn(bounded_spawner(eng, 100000, 0.001, live, over_bound),
+            "spawner");
+  eng.run();
+  EXPECT_EQ(over_bound, 0);
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(eng.unfinished_tasks(), 0u);
+}
+
+sim::Task<> counts_finish(sim::Engine& eng, int& finished) {
+  co_await eng.sleep(0.5);
+  ++finished;
+}
+
+TEST(Engine, FailedRootSurvivesSpawnSweeps) {
+  // The spawn-time sweep frees finished roots but keeps a failed one:
+  // run() must go on rethrowing through any number of later spawns, and
+  // nothing more runs until reap_completed() acknowledges the failure.
+  sim::Engine eng;
+  int finished = 0;
+  eng.spawn(root_throws(eng));  // throws at t = 1
+  for (int i = 0; i < 100; ++i) eng.spawn(counts_finish(eng, finished));
+  EXPECT_THROW(eng.run(), Boom);
+  ASSERT_EQ(finished, 100);  // done roots for the sweeps to free
+  for (int i = 0; i < 10000; ++i) eng.spawn(counts_finish(eng, finished));
+  const std::uint64_t events = eng.events_processed();
+  EXPECT_THROW(eng.run(), Boom);
+  EXPECT_EQ(eng.events_processed(), events);
+  EXPECT_EQ(finished, 100);
+  EXPECT_EQ(eng.unfinished_tasks(), 10000u);
+  eng.reap_completed();
+  eng.run();
+  EXPECT_EQ(finished, 10100);
+  EXPECT_EQ(eng.unfinished_tasks(), 0u);
+}
+
 // Awaitable that reschedules its coroutine at an absolute (possibly
 // past) time — the hostile input for the schedule_at clamp.
 struct ScheduleAt {
