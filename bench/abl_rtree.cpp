@@ -2,14 +2,19 @@
 /// stripe across a sweep of concurrent clients. Striping executes every
 /// query on all ASUs in parallel (bounded latency); partitioning sends
 /// each query to the few ASUs owning its region (concurrent searches
-/// spread out, so aggregate throughput is higher).
+/// spread out, so aggregate throughput is higher). Writes
+/// BENCH_abl_rtree.json: one row per (clients, layout) cell; ok iff every
+/// distributed result matches the centralized tree.
 
 #include <cstdio>
 
+#include "bench_json.hpp"
 #include "gis/gis.hpp"
+#include "obs/report.hpp"
 
 namespace gis = lmas::gis;
 namespace asu = lmas::asu;
+namespace obs = lmas::obs;
 
 int main() {
   asu::MachineParams mp;
@@ -21,6 +26,8 @@ int main() {
   std::printf("%-9s %-11s %13s %12s %10s %8s\n", "clients", "layout",
               "mean lat(us)", "max lat(us)", "qps", "asus/q");
 
+  obs::BenchReport report("abl_rtree");
+  report.results() = obs::Json::array();
   bool all_ok = true;
   for (const unsigned clients : {1u, 4u, 16u, 64u}) {
     for (const auto layout :
@@ -39,10 +46,19 @@ int main() {
                   gis::rtree_layout_name(layout), r.mean_latency * 1e6,
                   r.max_latency * 1e6, r.throughput_qps,
                   r.mean_asus_per_query);
+      obs::Json row = obs::Json::object();
+      row["clients"] = clients;
+      row["layout"] = gis::rtree_layout_name(layout);
+      row["mean_latency"] = r.mean_latency;
+      row["max_latency"] = r.max_latency;
+      row["throughput_qps"] = r.throughput_qps;
+      row["mean_asus_per_query"] = r.mean_asus_per_query;
+      row["ok"] = r.results_match_oracle;
+      report.results().push_back(std::move(row));
     }
   }
   std::printf("# validation: %s\n",
               all_ok ? "all distributed results match the centralized tree"
                      : "ORACLE MISMATCH");
-  return all_ok ? 0 : 1;
+  return lmas::benchio::finish(report, all_ok);
 }

@@ -1340,7 +1340,7 @@ std::optional<std::string> fuzz_dsm_case(sim::Rng& rng, unsigned size) {
   cfg.packet_records =
       pick(rng, {std::size_t(0), std::size_t(1), std::size_t(7)});
   cfg.gamma1 = unsigned(rng.below(4));
-  cfg.gamma2_max = unsigned(rng.below(4));
+  (void)rng.below(4);  // unused draw: later fields keep their values
   cfg.telemetry.histograms = rng.below(2) == 0;
   cfg.telemetry.sampler = rng.below(2) == 0;
   cfg.load_manager = fuzz_load_manager(rng);

@@ -1054,42 +1054,18 @@ class DsmSortSim {
     to_final_store_->producer_done();
   }
 
+  /// One host merge pass over a subset's runs: the host takes the full
+  /// fan-in gamma2 = runs.size().
   sim::Task<> merge_subset(
       asu_ns::Node& node, std::uint32_t subset,
       std::map<std::uint32_t, std::vector<em::KeyRecord>>& runs) {
     if (runs.empty()) co_return;
 
-    // Multiple host-side merge passes when the fan-in exceeds gamma2_max
-    // (bounded merge buffers): groups of gamma2_max runs pre-merge into
-    // intermediate runs, charged at the grouped fan-in.
-    std::vector<std::vector<em::KeyRecord>> work;
-    work.reserve(runs.size());
-    for (auto& [id, vec] : runs) work.push_back(std::move(vec));
-    while (cfg_.gamma2_max >= 2 && work.size() > cfg_.gamma2_max) {
-      std::vector<std::vector<em::KeyRecord>> next;
-      for (std::size_t base = 0; base < work.size();
-           base += cfg_.gamma2_max) {
-        const std::size_t cnt =
-            std::min<std::size_t>(cfg_.gamma2_max, work.size() - base);
-        if (cnt == 1) {
-          next.push_back(std::move(work[base]));
-          continue;
-        }
-        const Runs group(work.begin() + std::ptrdiff_t(base),
-                         work.begin() + std::ptrdiff_t(base + cnt));
-        auto merged = merge_all(group);
-        co_await node.compute(
-            double(merged.size()) *
-            mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/false));
-        next.push_back(std::move(merged));
-      }
-      work = std::move(next);
-    }
-
-    const Runs final_runs(work.begin(), work.end());
-    em::RunMerger<em::KeyRecord> merger(final_runs);
+    Runs sources;
+    for (const auto& [id, vec] : runs) sources.emplace_back(vec);
+    em::RunMerger<em::KeyRecord> merger(sources);
     const double per_rec =
-        mp_.cost.merge_per_record(unsigned(work.size()), /*on_asu=*/false);
+        mp_.cost.merge_per_record(unsigned(runs.size()), /*on_asu=*/false);
 
     SubsetBounds bounds;
     std::uint32_t prev_key = 0;

@@ -88,12 +88,6 @@ struct DsmSortConfig {
   /// ASU, 1 = no ASU merge (hosts take the full fan-in).
   unsigned gamma1 = 0;
 
-  /// Host-side merge fan-in cap gamma_2 (0 = unlimited). When a subset
-  /// arrives with more runs than this, the host merges in multiple
-  /// passes — the paper notes more passes may be required if gamma is
-  /// small, though two suffice in practice.
-  unsigned gamma2_max = 0;
-
   std::uint64_t seed = 42;
 
   /// Spawn-name and trace-track prefix for this job ("<label>."

@@ -604,31 +604,3 @@ TEST(DistBTree, LookupOnlyWorkloadHasNoBatches) {
 }
 
 }  // namespace
-
-// ---------- multi-pass host merge (small gamma2) ----------
-
-namespace {
-
-TEST(DsmMatrix, Gamma2CapForcesMultiPassMergeAndStaysCorrect) {
-  core::DsmSortConfig cfg;
-  cfg.total_records = 1 << 15;
-  cfg.alpha = 4;
-  cfg.log2_alpha_beta = 10;  // many short runs: deep merge tree
-  cfg.run_merge_pass = true;
-  cfg.gamma1 = 1;            // no ASU pre-merge: host sees full fan-in
-  cfg.seed = 29;
-
-  cfg.gamma2_max = 0;  // single wide merge
-  const auto wide = core::run_dsm_sort(machine(1, 4), cfg);
-  cfg.gamma2_max = 2;  // binary merges: several passes
-  const auto narrow = core::run_dsm_sort(machine(1, 4), cfg);
-  ASSERT_TRUE(wide.ok());
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_TRUE(narrow.final_sorted_ok);
-  EXPECT_EQ(narrow.records_final, cfg.total_records);
-  // Extra passes mean extra compares: the capped merge pays for its
-  // bounded buffers with a slower pass 2.
-  EXPECT_GT(narrow.pass2_seconds, wide.pass2_seconds);
-}
-
-}  // namespace
