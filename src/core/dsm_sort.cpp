@@ -5,6 +5,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -67,15 +68,6 @@ void DsmSortConfig::validate() const {
   load_manager.validate();
 }
 
-/// A stored (sorted) run kept on an ASU for pass 2: its chunks in seq
-/// order, which is key order, tagged with its subset. External linkage
-/// because DsmSortSim (whose definition is TU-local but whose name is
-/// exported for DsmSortJob's pimpl) holds vectors of it.
-struct StoredRun {
-  std::uint32_t subset = 0;
-  std::vector<std::vector<em::KeyRecord>> chunks;
-};
-
 /// Whole-program state for one emulated DSM-Sort execution on a
 /// borrowed engine and cluster (the machine shape comes from the
 /// cluster). Instance bodies are member coroutines; the object outlives
@@ -100,8 +92,6 @@ class DsmSortSim {
         block_records_(std::max<std::size_t>(
             1, std::size_t(64 * 1024) / mp_.record_bytes)),
         classifier_(make_classifier()),
-        checksum_in_(d_, 0),
-        count_in_(d_, 0),
         charge_scale_(1.0 / cfg.fair_share_weight) {}
 
   /// The standalone program (run_dsm_sort) on `plane`'s engine and
@@ -344,7 +334,7 @@ class DsmSortSim {
       }
     }
 
-    stored_.assign(d_, {});
+    if (cfg_.run_merge_pass) stored_.assign(d_, {});
     records_sorted_per_host_.assign(h_, 0);
     sort_records_counter_.assign(h_, nullptr);
     sort_staged_records_.assign(h_, 0);
@@ -536,7 +526,7 @@ class DsmSortSim {
       // collected and emitted after the (possibly measured) CPU charge.
       ready.clear();
       const double w0 = wall_seconds();
-      distribute_records(a, blk, gen, st, ready);
+      distribute_records(blk, gen, st, ready);
       const double wall = wall_seconds() - w0;
       records_done.inc(blk);
 
@@ -569,15 +559,15 @@ class DsmSortSim {
     instance_done();
   }
 
-  /// Distribute the next `n` records of ASU a's input in two phases,
+  /// Distribute the next `n` records of an ASU's input in two phases,
   /// partition then stage, per chunk of kDistributeChunk: generate the
   /// keys (checksum and count in the same loop), classify them all, then
   /// stage the records in input order, so flush points are those of a
   /// per-record loop. Flushed packets go to `ready`. A plain function,
   /// not part of the coroutine, so the arrays live on the stack rather
   /// than in every suspended instance's frame.
-  void distribute_records(unsigned a, std::size_t n, KeyGenerator& gen,
-                          Staging& st, std::vector<Packet>& ready) {
+  void distribute_records(std::size_t n, KeyGenerator& gen, Staging& st,
+                          std::vector<Packet>& ready) {
     std::array<std::uint32_t, kDistributeChunk> keys;
     std::array<std::uint32_t, kDistributeChunk> subsets{};
     for (std::size_t done = 0; done < n;) {
@@ -588,8 +578,8 @@ class DsmSortSim {
         keys[i] = gen.next();
         checksum += keys[i];
       }
-      checksum_in_[a] += checksum;
-      count_in_[a] += m;
+      key_sum_in_ += checksum;
+      records_in_ += m;
       if (cfg_.distribute_on_asus) {
         classifier_.classify(std::span(keys).first(m), subsets);
       }
@@ -771,45 +761,68 @@ class DsmSortSim {
     records_done->inc(block.size());
     // Derived flow: the sorted-run packet's lane links back to the
     // distribute packet whose arrival completed the run.
-    const std::span<const em::KeyRecord> whole(block);
-    co_await ship_run(*to_store_, node, subset, run_id, {&whole, 1},
-                      parent_flow);
+    SpanSource src{block};
+    co_await ship_run(*to_store_, node, subset, run_id, src, parent_flow);
   }
 
-  /// Ship one sorted run, given as its pieces in key order, through `out`
-  /// as packets of packet_records_; a packet may span pieces.
+  /// One sorted span as a ship_run source, drawn the way em::RunMerger
+  /// is drawn: remaining() records are left and fill() appends the next.
+  struct SpanSource {
+    std::span<const em::KeyRecord> rest;
+    [[nodiscard]] std::size_t remaining() const { return rest.size(); }
+    void fill(std::vector<em::KeyRecord>& out, std::size_t n) {
+      n = std::min(n, rest.size());
+      out.insert(out.end(), rest.begin(), rest.begin() + std::ptrdiff_t(n));
+      rest = rest.subspan(n);
+    }
+  };
+
+  /// Ship one sorted run through `out` as packets of packet_records_,
+  /// seq 0, 1, ... in key order. `src` is a SpanSource (pass 1's sorted
+  /// block) or an em::RunMerger over chunk lists (every pass-2 ship). A
+  /// `per_record` charge paces the run: each packet's records are
+  /// charged to `node` before the packet is emitted.
+  template <typename Source>
   sim::Task<> ship_run(StageOutput& out, asu_ns::Node& node,
                        std::uint32_t subset, std::uint32_t run_id,
-                       std::span<const std::span<const em::KeyRecord>> pieces,
-                       std::uint64_t parent_flow = 0) {
-    std::size_t left = 0;
-    for (const auto& piece : pieces) left += piece.size();
-    std::size_t piece = 0;
-    std::size_t off = 0;
-    std::uint32_t seq = 0;
-    while (left > 0) {
-      const std::size_t n = std::min(packet_records_, left);
-      left -= n;
+                       Source& src, std::uint64_t parent_flow = 0,
+                       std::optional<double> per_record = std::nullopt) {
+    for (std::uint32_t seq = 0; src.remaining() > 0; ++seq) {
       Packet pkt;
       pkt.subset = subset;
       pkt.run_id = run_id;
-      pkt.seq = seq++;
+      pkt.seq = seq;
       pkt.sorted = true;
       pkt.parent_id = parent_flow;
-      pkt.records = out.pool().acquire(n);
-      for (std::size_t need = n; need > 0;) {
-        const std::span<const em::KeyRecord> src = pieces[piece];
-        const std::size_t take = std::min(need, src.size() - off);
-        pkt.records.insert(pkt.records.end(), src.begin() + std::ptrdiff_t(off),
-                           src.begin() + std::ptrdiff_t(off + take));
-        need -= take;
-        off += take;
-        if (off == src.size()) {
-          ++piece;
-          off = 0;
-        }
+      pkt.records =
+          out.pool().acquire(std::min(packet_records_, src.remaining()));
+      src.fill(pkt.records, packet_records_);
+      if (per_record) {
+        co_await node.compute(double(pkt.records.size()) * *per_record);
       }
       co_await out.emit(node, std::move(pkt));
+    }
+  }
+
+  /// The run store both merge levels read: run id -> chunk seq -> chunk.
+  /// Chunks are keyed by seq, not appended in arrival order: fault
+  /// re-routing (retry-with-timeout) can let a later chunk of a run
+  /// overtake an earlier one, and a run's chunk seqs are assigned in key
+  /// order, so its chunks in seq order are the sorted run under any
+  /// interleaving (arrival order == seq order in fault-free runs).
+  using RunChunks =
+      std::map<std::uint32_t, std::map<std::uint32_t, PacketPool::Buffer>>;
+  using SubsetRuns = std::map<std::uint32_t, RunChunks>;  // subset -> runs
+
+  /// File `p` as chunk p.seq of its run; a repeated seq appends to that
+  /// chunk, and the spent buffer goes back to `pool`.
+  static void file_chunk(RunChunks& runs, Packet& p, PacketPool& pool) {
+    auto& chunk = runs[p.run_id][p.seq];
+    if (chunk.empty()) {
+      chunk = std::move(p.records);
+    } else {
+      chunk.insert(chunk.end(), p.records.begin(), p.records.end());
+      pool.release(std::move(p.records));
     }
   }
 
@@ -821,23 +834,11 @@ class DsmSortSim {
     const std::uint32_t track =
         eng_.tracer().track(job_name("store") + std::to_string(a));
     auto& in = store_in_->inbox(a);
-    // Chunks are keyed by (run_id, seq) rather than appended in arrival
-    // order: fault re-routing (retry-with-timeout) can let a later chunk
-    // of a run overtake an earlier one, and chunk seqs within a run are
-    // assigned in key order, so seq-ordered concatenation reconstructs a
-    // sorted run under any interleaving. Arrival order == seq order in
-    // fault-free runs, so this is behavior-neutral there. Each chunk is
-    // checked as it lands; only pass 2 needs the records, so without it
-    // the chunk goes straight back to the pool and the store holds
-    // nothing but the checks.
-    struct OpenRun {
-      std::uint32_t subset = 0;
-      RunCheck check;
-      std::map<std::uint32_t, std::vector<em::KeyRecord>> chunks;  // pass 2
-    };
-    std::map<std::uint32_t, OpenRun> open;  // run_id -> accumulating run
-    const KeyClassifier* classify =
-        cfg_.distribute_on_asus ? &classifier_ : nullptr;
+    // Each chunk is checked as it lands. Only pass 2 needs the records:
+    // with it the chunk is filed in its subset's runs on this ASU,
+    // without it the chunk goes straight back to the pool and the store
+    // holds nothing but the checks.
+    std::map<std::uint32_t, RunCheck> checks;  // run_id -> its check
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
@@ -847,51 +848,36 @@ class DsmSortSim {
       records_done.inc(p->records.size());
       co_await node.disk().write(p->wire_bytes(mp_.record_bytes));
       if (store_hist_ != nullptr) store_hist_->observe(eng_.now() - t_take);
-      OpenRun& run = open[p->run_id];
-      run.subset = p->subset;
-      run.check.add(p->seq, p->records, classify, p->subset);
-      if (!cfg_.run_merge_pass) {
-        to_store_->pool().release(std::move(p->records));
-        continue;
-      }
-      auto& chunk = run.chunks[p->seq];
-      if (chunk.empty()) {
-        chunk = std::move(p->records);
-      } else {
-        chunk.insert(chunk.end(), p->records.begin(), p->records.end());
-        to_store_->pool().release(std::move(p->records));
-      }
-    }
-    runs_stored_ += open.size();
-    for (auto& [run_id, run] : open) {
-      stored_check_ += run.check.verdict();
+      checks[p->run_id].add(p->seq, p->records, subset_classifier(),
+                            p->subset);
       if (cfg_.run_merge_pass) {
-        StoredRun& sr = stored_[a].emplace_back();
-        sr.subset = run.subset;
-        for (auto& [seq, recs] : run.chunks) {
-          sr.chunks.push_back(std::move(recs));
-        }
+        file_chunk(stored_[a][p->subset], *p, to_store_->pool());
+      } else {
+        to_store_->pool().release(std::move(p->records));
       }
     }
+    runs_stored_ += checks.size();
+    for (const auto& [run_id, check] : checks) stored_check_ += check.verdict();
     store_end_[a] = eng_.now();
     instance_done();
   }
 
   void validate_pass1(DsmSortReport& rep) const {
-    rep.records_in = 0;
-    std::uint64_t checksum_in = 0;
-    for (unsigned a = 0; a < d_; ++a) {
-      rep.records_in += count_in_[a];
-      checksum_in += checksum_in_[a];
-    }
+    rep.records_in = records_in_;
     // The stores checked every run as it landed.
     rep.runs_stored = runs_stored_;
     rep.records_stored = stored_check_.records;
     rep.runs_sorted_ok = stored_check_.sorted;
     rep.subsets_ok = stored_check_.in_subset;
-    rep.checksum_ok = (checksum_in == stored_check_.key_sum) &&
+    rep.checksum_ok = (key_sum_in_ == stored_check_.key_sum) &&
                       (rep.records_in == rep.records_stored);
     rep.records_sorted_per_host = records_sorted_per_host_;
+  }
+
+  /// The classifier a stored record's subset is checked against; null
+  /// for the passive baseline, whose one subset takes every key.
+  [[nodiscard]] const KeyClassifier* subset_classifier() const {
+    return cfg_.distribute_on_asus ? &classifier_ : nullptr;
   }
 
   // ----------------------------- pass 2 -------------------------------
@@ -918,8 +904,7 @@ class DsmSortSim {
                   .telemetry = cfg_.telemetry.histograms});
 
     final_end_.assign(d_, pass1_end_);
-    subset_bounds_.assign(alpha_, {});
-    final_sorted_ok_ = true;
+    final_check_.assign(alpha_, {});
 
     for (unsigned a = 0; a < d_; ++a) {
       eng_.spawn(asu_merge_instance(a), "asu_merge" + std::to_string(a));
@@ -935,72 +920,73 @@ class DsmSortSim {
 
     rep.pass2_seconds =
         *std::max_element(final_end_.begin(), final_end_.end()) - pass1_end_;
-    rep.records_final = records_final_;
+    // Each subset is sorted and lies in its subset; both classifiers are
+    // monotone in the key, so together that is the global order.
+    RunCheck::Verdict out;
+    for (const RunCheck& check : final_check_) out += check.verdict();
+    rep.records_final = out.records;
+    rep.final_sorted_ok = out.sorted && out.in_subset &&
+                          out.records == rep.records_in &&
+                          out.key_sum == key_sum_in_;
+  }
 
-    // Cross-subset order: max key of subset s <= min key of subset s+1.
-    std::uint32_t prev_max = 0;
-    bool have_prev = false;
-    for (const auto& b : subset_bounds_) {
-      if (b.count == 0) continue;
-      if (have_prev && b.min_key < prev_max) final_sorted_ok_ = false;
-      prev_max = b.max_key;
-      have_prev = true;
+  /// The chunks of runs [first, last), run after run, as merge sources.
+  /// A run's chunks are consecutive sources in key order and ties go to
+  /// the lower source, so merging the chunks merges the runs, and one
+  /// run's chunks merge to their concatenation.
+  static std::vector<std::span<const em::KeyRecord>> chunk_sources(
+      RunChunks::const_iterator first, RunChunks::const_iterator last) {
+    std::vector<std::span<const em::KeyRecord>> sources;
+    for (; first != last; ++first) {
+      for (const auto& [seq, c] : first->second) sources.emplace_back(c);
     }
-    rep.final_sorted_ok =
-        final_sorted_ok_ && records_final_ == rep.records_in;
+    return sources;
+  }
+
+  /// Drop a merged subset, handing its chunks to to_host_merge_'s pool.
+  void recycle(SubsetRuns& subsets, SubsetRuns::iterator merged) {
+    for (auto& [run_id, chunks] : merged->second) {
+      for (auto& [seq, chunk] : chunks) {
+        to_host_merge_->pool().release(std::move(chunk));
+      }
+    }
+    subsets.erase(merged);
   }
 
   sim::Task<> asu_merge_instance(unsigned a) {
     asu_ns::Node& node = cluster_.asu(a);
     std::uint32_t next_run_id = a * 0x10000u + 1;
     for (std::uint32_t s = 0; s < alpha_; ++s) {
-      // Collect this ASU's local runs of subset s as their non-empty
-      // chunks, run after run: chunks[first[r], first[r + 1]) is run r.
-      // A run's chunks are consecutive merge sources in key order, and
-      // ties go to the lower source, so merging chunks merges the runs.
-      Runs chunks;
-      std::vector<std::size_t> first;
-      std::size_t bytes = 0;
-      for (const auto& run : stored_[a]) {
-        if (run.subset != s) continue;
-        const std::size_t begin = chunks.size();
-        for (const auto& c : run.chunks) {
-          if (c.empty()) continue;
-          chunks.emplace_back(c);
-          bytes += c.size() * mp_.record_bytes;
+      if (const auto it = stored_[a].find(s); it != stored_[a].end()) {
+        RunChunks& runs = it->second;
+        std::size_t records = 0;
+        for (const auto& [run_id, chunks] : runs) {
+          for (const auto& [seq, chunk] : chunks) records += chunk.size();
         }
-        if (chunks.size() > begin) first.push_back(begin);
-      }
-      const std::size_t runs = first.size();
-      first.push_back(chunks.size());
-      const auto run_span = [&](std::size_t r, std::size_t cnt) {
-        return std::span(chunks).subspan(first[r], first[r + cnt] - first[r]);
-      };
-      if (runs > 0) {
         // Sequential disk read of the runs we are about to merge.
-        co_await node.disk().read(bytes);
-
-        if (cfg_.gamma1 == 1 || runs == 1) {
-          // No ASU-side merge: ship runs as-is (hosts take full fan-in).
-          for (std::size_t r = 0; r < runs; ++r) {
-            co_await ship_run(*to_host_merge_, node, s, next_run_id++,
-                              run_span(r, 1));
-          }
-        } else {
-          const std::size_t g =
-              cfg_.gamma1 == 0 ? runs
-                               : std::min<std::size_t>(cfg_.gamma1, runs);
-          for (std::size_t base = 0; base < runs; base += g) {
-            const std::size_t cnt = std::min(g, runs - base);
-            const auto merged = merge_all(run_span(base, cnt));
+        co_await node.disk().read(records * mp_.record_bytes);
+        // gamma1 == 1, or a single run: no ASU-side merge, each run ships
+        // as-is and the hosts take the full fan-in. Otherwise groups of
+        // gamma1 runs (0 = all of them) merge here, each group charged
+        // whole before its packets stream out of the merger.
+        const bool merge = cfg_.gamma1 != 1 && runs.size() > 1;
+        const std::size_t g =
+            !merge ? 1 : cfg_.gamma1 == 0 ? runs.size() : cfg_.gamma1;
+        for (auto first = runs.cbegin(); first != runs.cend();) {
+          auto last = first;
+          unsigned cnt = 0;
+          for (; last != runs.cend() && cnt < g; ++last) ++cnt;
+          const auto sources = chunk_sources(first, last);
+          em::RunMerger<em::KeyRecord> merger(sources);
+          if (merge) {
             co_await node.compute(
-                double(merged.size()) *
-                mp_.cost.merge_per_record(unsigned(cnt), /*on_asu=*/true));
-            const std::span<const em::KeyRecord> whole(merged);
-            co_await ship_run(*to_host_merge_, node, s, next_run_id++,
-                              {&whole, 1});
+                double(merger.remaining()) *
+                mp_.cost.merge_per_record(cnt, /*on_asu=*/true));
           }
+          co_await ship_run(*to_host_merge_, node, s, next_run_id++, merger);
+          first = last;
         }
+        recycle(stored_[a], it);
       }
       // Per-subset completion marker so hosts can merge s immediately.
       Packet marker;
@@ -1011,91 +997,42 @@ class DsmSortSim {
     to_host_merge_->producer_done();
   }
 
-  /// Sorted runs to merge, in merge-source order.
-  using Runs = std::vector<std::span<const em::KeyRecord>>;
-
-  static std::vector<em::KeyRecord> merge_all(
-      std::span<const std::span<const em::KeyRecord>> runs) {
-    em::RunMerger<em::KeyRecord> merger(runs);
-    std::vector<em::KeyRecord> out;
-    out.reserve(merger.remaining());
-    merger.fill(out, merger.remaining());
-    return out;
-  }
-
+  /// Each host merges whole subsets in one pass (it takes the full
+  /// fan-in gamma2 = the subset's run count), pacing the merge per packet.
   sim::Task<> host_merge_instance(unsigned hh) {
     asu_ns::Node& node = cluster_.host(hh);
     auto& in = merge_in_->inbox(hh);
     const std::uint32_t track =
         eng_.tracer().track("host_merge" + std::to_string(hh));
-    std::map<std::uint32_t, std::map<std::uint32_t, std::vector<em::KeyRecord>>>
-        pending;  // subset -> run_id -> records
+    SubsetRuns pending;
     std::vector<unsigned> done_markers(alpha_, 0);
 
     while (true) {
       auto p = co_await in.recv();
       if (!p) break;
       to_host_merge_->consumed(*p, track);
-      if (p->run_id == kSubsetDoneMarker) {
-        if (++done_markers[p->subset] == d_) {
-          co_await merge_subset(node, p->subset, pending[p->subset]);
-          pending.erase(p->subset);
-        }
+      if (p->run_id != kSubsetDoneMarker) {
+        file_chunk(pending[p->subset], *p, to_host_merge_->pool());
         continue;
       }
-      auto& run = pending[p->subset][p->run_id];
-      if (run.empty()) {
-        run = std::move(p->records);
-      } else {
-        run.insert(run.end(), p->records.begin(), p->records.end());
-        to_host_merge_->pool().release(std::move(p->records));
-      }
+      if (++done_markers[p->subset] < d_) continue;
+      const auto it = pending.find(p->subset);
+      if (it == pending.end()) continue;
+      RunChunks& runs = it->second;
+      const auto sources = chunk_sources(runs.cbegin(), runs.cend());
+      em::RunMerger<em::KeyRecord> merger(sources);
+      co_await ship_run(
+          *to_final_store_, node, p->subset, /*run_id=*/0, merger,
+          /*parent_flow=*/0,
+          mp_.cost.merge_per_record(unsigned(runs.size()), /*on_asu=*/false));
+      recycle(pending, it);
     }
     to_final_store_->producer_done();
   }
 
-  /// One host merge pass over a subset's runs: the host takes the full
-  /// fan-in gamma2 = runs.size().
-  sim::Task<> merge_subset(
-      asu_ns::Node& node, std::uint32_t subset,
-      std::map<std::uint32_t, std::vector<em::KeyRecord>>& runs) {
-    if (runs.empty()) co_return;
-
-    Runs sources;
-    for (const auto& [id, vec] : runs) sources.emplace_back(vec);
-    em::RunMerger<em::KeyRecord> merger(sources);
-    const double per_rec =
-        mp_.cost.merge_per_record(unsigned(runs.size()), /*on_asu=*/false);
-
-    SubsetBounds bounds;
-    std::uint32_t prev_key = 0;
-    bool first = true;
-    std::uint32_t seq = 0;
-    while (true) {
-      Packet out;
-      out.subset = subset;
-      out.seq = seq++;
-      out.sorted = true;
-      out.records = to_final_store_->pool().acquire(packet_records_);
-      merger.fill(out.records, packet_records_);
-      for (const auto& r : out.records) {
-        if (!first && r.key < prev_key) final_sorted_ok_ = false;
-        prev_key = r.key;
-        first = false;
-        if (bounds.count == 0) bounds.min_key = r.key;
-        bounds.max_key = r.key;
-        ++bounds.count;
-      }
-      if (out.records.empty()) {
-        to_final_store_->pool().release(std::move(out.records));
-        break;
-      }
-      co_await node.compute(double(out.records.size()) * per_rec);
-      co_await to_final_store_->emit(node, std::move(out));
-    }
-    subset_bounds_[subset] = bounds;
-  }
-
+  /// The D final stores feed one RunCheck per subset: a subset's packets
+  /// carry consecutive seqs whichever store they land on, so the check
+  /// also covers the boundaries between stores.
   sim::Task<> final_store_instance(unsigned a) {
     asu_ns::Node& node = cluster_.asu(a);
     auto& in = final_in_->inbox(a);
@@ -1106,7 +1043,8 @@ class DsmSortSim {
       if (!p) break;
       to_final_store_->consumed(*p, track);
       co_await node.disk().write(p->wire_bytes(mp_.record_bytes));
-      records_final_ += p->records.size();
+      final_check_[p->subset].add(p->seq, p->records, subset_classifier(),
+                                  p->subset);
       to_final_store_->pool().release(std::move(p->records));
     }
     final_end_[a] = eng_.now();
@@ -1159,12 +1097,6 @@ class DsmSortSim {
     return std::clamp<std::size_t>(by_memory, 64, 4096);
   }
 
-  struct SubsetBounds {
-    std::uint32_t min_key = 0;
-    std::uint32_t max_key = 0;
-    std::size_t count = 0;
-  };
-
   asu_ns::MachineParams mp_;
   DsmSortConfig cfg_;
   sim::Engine& eng_;
@@ -1189,12 +1121,13 @@ class DsmSortSim {
   std::unique_ptr<StageOutput> to_host_merge_;
   std::unique_ptr<StageOutput> to_final_store_;
 
-  std::vector<std::uint64_t> checksum_in_;
-  std::vector<std::size_t> count_in_;
+  // Every input record the distribute instances read: count, key sum.
+  std::size_t records_in_ = 0;
+  std::uint64_t key_sum_in_ = 0;
   // Every store instance's runs and their checks, summed.
   std::size_t runs_stored_ = 0;
   RunCheck::Verdict stored_check_;
-  std::vector<std::vector<StoredRun>> stored_;  // per ASU, pass 2 only
+  std::vector<SubsetRuns> stored_;  // per ASU, pass 2 only
   std::vector<std::size_t> records_sorted_per_host_;
   /// Per sort instance `functor.sort<h>.records`, resolved on first use.
   std::vector<obs::Counter*> sort_records_counter_;
@@ -1211,9 +1144,7 @@ class DsmSortSim {
   double pass1_end_ = 0;
 
   std::vector<double> final_end_;
-  std::vector<SubsetBounds> subset_bounds_;
-  std::size_t records_final_ = 0;
-  bool final_sorted_ok_ = true;
+  std::vector<RunCheck> final_check_;  // per subset
   std::uint32_t dsm_track_ = 0;
   /// The manager this run's consult points use (the control plane's,
   /// or the tenant scheduler's shared one; null when unmanaged) and this

@@ -179,7 +179,10 @@ struct DsmSortReport : RunReport {
   bool runs_sorted_ok = false;       // every stored run is key-sorted
   bool subsets_ok = false;           // records landed in the right bucket
   bool checksum_ok = false;          // key-sum conservation in == out
-  bool final_sorted_ok = false;      // pass-2 global order (if run)
+  // Pass 2 (if run): every subset's output is sorted and in its subset
+  // (so globally ordered), records_final == records_in, and the output
+  // key sum equals the input key sum.
+  bool final_sorted_ok = false;
 
   std::vector<NodeUtilization> hosts;
   std::vector<NodeUtilization> asus;

@@ -132,7 +132,8 @@ class KeyClassifier {
 /// chunks concatenated in seq order (sorted by key, run_in_subset, key
 /// sum): the run is sorted iff every chunk is and each non-empty chunk
 /// starts at or above the last key of the non-empty chunk before it, and
-/// it lies in its subset iff every chunk does.
+/// it lies in its subset iff every chunk does. DSM-Sort checks each
+/// stored run with one, and its pass-2 output with one per subset.
 class RunCheck {
  public:
   struct Verdict {

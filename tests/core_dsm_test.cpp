@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -74,6 +75,13 @@ struct DsmCase {
   core::KeyDist dist;
   bool merge;
 };
+
+// The case's ctest name. The default prints the raw bytes, padding and
+// all, so the name changed from build to build.
+void PrintTo(const DsmCase& c, std::ostream* os) {
+  *os << 'h' << c.hosts << "_d" << c.asus << "_a" << c.alpha << '_'
+      << core::key_dist_name(c.dist) << (c.merge ? "_merge" : "");
+}
 
 class DsmSweep : public ::testing::TestWithParam<DsmCase> {};
 

@@ -5,6 +5,7 @@
 #include <set>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -279,6 +280,12 @@ struct SortCase {
   std::size_t memory_records;  // run length
   std::size_t fan_in;
 };
+
+// The case's ctest name. The default prints the raw bytes, padding and
+// all, so the name changed from build to build.
+void PrintTo(const SortCase& c, std::ostream* os) {
+  *os << 'n' << c.n << "_mem" << c.memory_records << "_fan" << c.fan_in;
+}
 
 class SortSweep : public ::testing::TestWithParam<SortCase> {};
 

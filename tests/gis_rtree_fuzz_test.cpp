@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "gis/gis.hpp"
@@ -24,6 +25,13 @@ struct FuzzCase {
   std::size_t leaf_capacity;
   std::size_t fanout;
 };
+
+// The case's ctest name. The default prints the raw bytes, padding and
+// all, so the name changed from build to build.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_n" << c.n << "_leaf" << c.leaf_capacity
+      << "_fan" << c.fanout;
+}
 
 class RTreeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

@@ -23,10 +23,12 @@
 ///
 /// `diff` exits 0 when two artifacts are equal once the root fields that
 /// depend on the host machine (kMachineFields) are dropped; otherwise it
-/// prints the path of the first difference and exits 1.
+/// prints the path of the first difference and exits 1. Either way it
+/// then prints the skipped fields side by side.
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -325,20 +327,38 @@ std::optional<obs::Json> load(const char* path) {
   return doc;
 }
 
+/// The root fields `diff` skipped, A and B side by side with B's
+/// relative delta from A (nan where a field is absent).
+void print_machine_fields(const obs::Json& a, const obs::Json& b) {
+  const auto value = [](const obs::Json& doc, std::string_view key) {
+    const obs::Json* v = doc.find(key);
+    return v != nullptr ? v->as_double() : std::nan("");
+  };
+  std::printf("  %-18s %12s %12s %9s\n", "skipped field", "A", "B", "delta");
+  for (const std::string_view key : kMachineFields) {
+    const double x = value(a, key);
+    const double y = value(b, key);
+    std::printf("  %-18.*s %12.6g %12.6g %+8.1f%%\n", int(key.size()),
+                key.data(), x, y, (y - x) / x * 100);
+  }
+}
+
 /// `lmas_report diff A B`: 0 when equal, 1 when they differ, 2 when
 /// either file cannot be read.
 int diff(const char* path_a, const char* path_b) {
   const auto a = load(path_a);
   const auto b = load(path_b);
   if (!a || !b) return 2;
-  if (const auto d = first_difference(*a, *b, "", /*root=*/true)) {
+  const auto d = first_difference(*a, *b, "", /*root=*/true);
+  if (d) {
     std::printf("%s and %s differ at %s\n", path_a, path_b,
                 d->empty() ? "/" : d->c_str());
-    return 1;
+  } else {
+    std::printf("%s and %s are equal (machine-dependent root fields "
+                "ignored)\n", path_a, path_b);
   }
-  std::printf("%s and %s are equal (machine-dependent root fields "
-              "ignored)\n", path_a, path_b);
-  return 0;
+  print_machine_fields(*a, *b);
+  return d ? 1 : 0;
 }
 
 int usage() {
